@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.stats import mahalanobis_squared
+from repro.core.stats import factor_covariance, quadratic_form
 from repro.core.types import ClusterCore
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -33,6 +33,9 @@ class GaussianMixture:
     weights: np.ndarray  # (k,)
     attributes: tuple[int, ...]
     log_likelihood_history: list[float] = field(default_factory=list)
+    _factor_cache: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         m = len(self.attributes)
@@ -65,24 +68,43 @@ class GaussianMixture:
     def num_components(self) -> int:
         return len(self.weights)
 
+    def __getstate__(self) -> dict:
+        # The factor cache is derived from the covariances: pickles (and
+        # the distributed-cache fingerprints hashed from them) must not
+        # depend on whether this mixture has scored points yet.
+        return {**self.__dict__, "_factor_cache": None}
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-component ``(L^-1, log det)`` of the covariances (see
+        :func:`repro.core.stats.factor_covariance`), computed once per
+        mixture.  The covariances must not be mutated afterwards."""
+        cache = self._factor_cache
+        if cache is None:
+            factored = [factor_covariance(cov) for cov in self.covariances]
+            cache = (
+                np.stack([inv_chol for inv_chol, _ in factored]),
+                np.array([log_det for _, log_det in factored]),
+            )
+            self._factor_cache = cache
+        return cache
+
     def project(self, data: np.ndarray) -> np.ndarray:
         """Project full-space rows onto the mixture's subspace."""
         return data[:, list(self.attributes)]
 
-    def log_responsibilities(self, sub: np.ndarray) -> np.ndarray:
-        """``log p(component | x)`` for each point (rows) and component
-        (columns), computed in subspace coordinates."""
+    def e_step(self, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One E-step from a single log-joint evaluation: the
+        ``(n, k)`` responsibilities and each point's log-likelihood
+        ``log p(x)``."""
         joint = self._log_joint(sub)
-        norm = _logsumexp_rows(joint)
-        return joint - norm[:, None]
+        point_ll = _logsumexp_rows(joint)
+        return np.exp(joint - point_ll[:, None]), point_ll
 
     def assign(self, sub: np.ndarray) -> np.ndarray:
         """Hard argmax-posterior assignment (the paper's conversion of
-        Gaussians into projected clusters)."""
+        Gaussians into projected clusters).  Row-stable: a point gets
+        the same component alone as inside any batch."""
         return np.argmax(self._log_joint(sub), axis=1)
-
-    def log_likelihood(self, sub: np.ndarray) -> float:
-        return float(_logsumexp_rows(self._log_joint(sub)).sum())
 
     def _as_batch(self, sub: np.ndarray) -> np.ndarray:
         """Normalise a point batch to ``(n, m)`` subspace coordinates.
@@ -106,13 +128,15 @@ class GaussianMixture:
         return sub
 
     def _log_joint(self, sub: np.ndarray) -> np.ndarray:
+        """``log w_j + log N(x | mu_j, Sigma_j)`` per point and component."""
         sub = self._as_batch(sub)
-        n = len(sub)
-        k = self.num_components
-        out = np.empty((n, k), dtype=float)
-        for j in range(k):
-            out[:, j] = np.log(max(self.weights[j], 1e-300)) + _gaussian_logpdf(
-                sub, self.means[j], self.covariances[j]
+        inv_chols, log_dets = self.factors()
+        const = len(self.attributes) * _LOG_2PI
+        out = np.empty((len(sub), self.num_components), dtype=float)
+        for j in range(self.num_components):
+            quad = quadratic_form(sub, self.means[j], inv_chols[j])
+            out[:, j] = np.log(max(self.weights[j], 1e-300)) - 0.5 * (
+                const + log_dets[j] + quad
             )
         return out
 
@@ -122,29 +146,20 @@ def _logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
     return (peak + np.log(np.exp(matrix - peak).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def _gaussian_logpdf(
-    points: np.ndarray, mean: np.ndarray, cov: np.ndarray
+def nearest_component(
+    sub: np.ndarray, means: np.ndarray, covariances: np.ndarray
 ) -> np.ndarray:
-    m = len(mean)
-    chol, log_det = _safe_cholesky(cov)
-    diff = points - mean
-    solved = np.linalg.solve(chol, diff.T)
-    quad = (solved**2).sum(axis=0)
-    return -0.5 * (m * _LOG_2PI + log_det + quad)
-
-
-def _safe_cholesky(cov: np.ndarray, ridge: float = 1e-9) -> tuple[np.ndarray, float]:
-    m = cov.shape[0]
-    attempt = cov
-    for _ in range(40):
-        try:
-            chol = np.linalg.cholesky(attempt)
-            log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-            return chol, log_det
-        except np.linalg.LinAlgError:
-            attempt = attempt + ridge * np.eye(m)
-            ridge *= 10
-    raise np.linalg.LinAlgError("covariance could not be regularised")
+    """Index of the Mahalanobis-nearest ``(means[j], covariances[j])``
+    for each row; each covariance is factored once per call.  Assigns
+    the stray points of the two-pass EM initialisation (Section 5.4)."""
+    distances = np.stack(
+        [
+            quadratic_form(sub, mean, factor_covariance(cov)[0])
+            for mean, cov in zip(means, covariances)
+        ],
+        axis=1,
+    )
+    return np.argmin(distances, axis=1)
 
 
 def relevant_attributes(cores: list[ClusterCore]) -> tuple[int, ...]:
@@ -204,11 +219,7 @@ def initialize_from_cores(
     stray = ~in_any
     member_masks = [mask.copy() for mask in masks]
     if stray.any():
-        distances = np.stack(
-            [mahalanobis_squared(sub[stray], means[j], covs[j]) for j in range(k)],
-            axis=1,
-        )
-        nearest = np.argmin(distances, axis=1)
+        nearest = nearest_component(sub[stray], means, covs)
         stray_idx = np.where(stray)[0]
         for j in range(k):
             member_masks[j][stray_idx[nearest == j]] = True
@@ -242,23 +253,20 @@ def fit_em(
     improvement drops below ``tol``.
     """
     sub = init.project(data)
-    means = init.means.copy()
-    covs = init.covariances.copy()
-    weights = init.weights.copy()
+    attributes = init.attributes
     history: list[float] = []
-    mixture = GaussianMixture(means, covs, weights, init.attributes)
+    mixture = GaussianMixture(init.means, init.covariances, init.weights, attributes)
 
     for _ in range(max_iter):
-        log_resp = mixture.log_responsibilities(sub)
-        history.append(mixture.log_likelihood(sub))
-        resp = np.exp(log_resp)
-        totals = resp.sum(axis=0)
-        k = mixture.num_components
-        for j in range(k):
+        resp, point_ll = mixture.e_step(sub)
+        history.append(float(point_ll.sum()))
+        means = np.empty_like(mixture.means)
+        covs = np.empty_like(mixture.covariances)
+        for j in range(mixture.num_components):
             means[j], covs[j] = _moments(sub, resp[:, j], reg)
-        weights = np.clip(totals / len(sub), 1e-12, None)
+        weights = np.clip(resp.sum(axis=0) / len(sub), 1e-12, None)
         weights /= weights.sum()
-        mixture = GaussianMixture(means, covs, weights, init.attributes)
+        mixture = GaussianMixture(means, covs, weights, attributes)
         if len(history) >= 2:
             previous, current = history[-2], history[-1]
             if abs(current - previous) <= tol * (abs(previous) + 1.0):

@@ -111,13 +111,10 @@ def detect_outliers_naive(
     own members)."""
     if len(members_sub) == 0:
         return np.zeros(0, dtype=bool)
-    dof = members_sub.shape[1]
-    inflation = small_sample_inflation(len(members_sub), dof)
-    if not np.isfinite(inflation):
-        return np.zeros(len(members_sub), dtype=bool)
-    critical = chi2_critical_value(dof, alpha) * inflation
-    d2 = mahalanobis_squared(members_sub, mean, covariance)
-    return d2 > critical
+    critical = outlier_critical_value(
+        len(members_sub), members_sub.shape[1], alpha
+    )
+    return mahalanobis_squared(members_sub, mean, covariance) > critical
 
 
 def small_sample_inflation(n_estimate: int, dim: int) -> float:
@@ -138,6 +135,24 @@ def small_sample_inflation(n_estimate: int, dim: int) -> float:
     return max(1.0, (n_estimate - 1) / (n_estimate - dim - 2))
 
 
+def outlier_critical_value(
+    n_estimate: int, dim: int, alpha: float = 0.001
+) -> float:
+    """Squared-Mahalanobis cutoff above which a point is an outlier.
+
+    The chi-squared critical value with ``dim`` degrees of freedom at
+    ``alpha``, widened by :func:`small_sample_inflation` of the number
+    of points the moments were estimated from.  Moments estimated from
+    too few points to be usable give an infinite cutoff: nothing is
+    flagged.  Every outlier verdict (serial detectors, the OD job and
+    the serving scorer) compares against this value.
+    """
+    inflation = small_sample_inflation(n_estimate, dim)
+    if not np.isfinite(inflation):
+        return float("inf")
+    return chi2_critical_value(dim, alpha) * inflation
+
+
 def detect_outliers_mvb(
     members_sub: np.ndarray,
     alpha: float = 0.001,
@@ -154,11 +169,9 @@ def detect_outliers_mvb(
     if len(members_sub) == 0:
         raise ValueError("cluster has no members")
     estimate = mvb_estimate(members_sub)
-    dof = members_sub.shape[1]
-    inflation = small_sample_inflation(estimate.n_inside, dof)
-    if not np.isfinite(inflation):
-        return np.zeros(len(members_sub), dtype=bool), estimate
-    critical = chi2_critical_value(dof, alpha) * inflation
+    critical = outlier_critical_value(
+        estimate.n_inside, members_sub.shape[1], alpha
+    )
     d2 = mahalanobis_squared(members_sub, estimate.mean, estimate.covariance)
     return d2 > critical, estimate
 
@@ -287,10 +300,8 @@ def detect_outliers_mve(
     if len(members_sub) == 0:
         raise ValueError("cluster has no members")
     estimate = mve_estimate(members_sub)
-    dof = members_sub.shape[1]
-    inflation = small_sample_inflation(estimate.subset_size, dof)
-    if not np.isfinite(inflation):
-        return np.zeros(len(members_sub), dtype=bool), estimate
-    critical = chi2_critical_value(dof, alpha) * inflation
+    critical = outlier_critical_value(
+        estimate.subset_size, members_sub.shape[1], alpha
+    )
     d2 = mahalanobis_squared(members_sub, estimate.mean, estimate.covariance)
     return d2 > critical, estimate

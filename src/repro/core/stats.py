@@ -9,8 +9,10 @@ Implements the statistical tool-kit of Sections 3-4:
 - the chi-squared uniformity test used for relevant-attribute detection;
 - Cohen's d_cc effect size with sigma = Supp_exp (Eq. 4), the P3C+
   complement to the significance test;
-- Mahalanobis distances and the chi-squared critical value used by
-  outlier detection (Section 4.2.2).
+- the Gaussian scoring kernel shared by EM, outlier detection and
+  serving: one covariance factorisation and one row-stable quadratic
+  form, plus the chi-squared critical value used by outlier detection
+  (Section 4.2.2).
 """
 
 from __future__ import annotations
@@ -159,35 +161,69 @@ def is_uniform(counts: np.ndarray, alpha: float = 0.001) -> bool:
     return chi_squared_uniformity_pvalue(counts) >= alpha
 
 
+def factor_covariance(
+    cov: np.ndarray, ridge: float = 1e-9
+) -> tuple[np.ndarray, float]:
+    """Factor a covariance for Gaussian scoring: ``(L^-1, log det)``.
+
+    ``L`` is the lower Cholesky factor, so ``cov^-1 = L^-T L^-1`` and the
+    squared Mahalanobis distance is ``|L^-1 (x - mu)|^2``.  A covariance
+    that is not positive definite (singular for tiny clusters or
+    degenerate attributes) gets a growing ridge on its diagonal, starting
+    at ``ridge`` and multiplying by ten per failed attempt; the returned
+    log-determinant is that of the regularised matrix.
+    """
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    m = cov.shape[0]
+    attempt = cov
+    for _ in range(40):
+        try:
+            chol = np.linalg.cholesky(attempt)
+        except np.linalg.LinAlgError:
+            attempt = attempt + ridge * np.eye(m)
+            ridge *= 10
+            continue
+        # numpy's LAPACK, not scipy.linalg's: scipy bundles a second
+        # OpenBLAS whose worker threads keep spinning after a call and
+        # compete with the elementwise scoring loops for CPU.
+        inv_chol = np.tril(np.linalg.inv(chol))
+        return inv_chol, 2.0 * float(np.log(np.diag(chol)).sum())
+    raise np.linalg.LinAlgError("covariance could not be regularised")
+
+
+def quadratic_form(
+    points: np.ndarray, mean: np.ndarray, inv_chol: np.ndarray
+) -> np.ndarray:
+    """Squared Mahalanobis distance ``|L^-1 (x - mean)|^2`` of each row.
+
+    ``inv_chol`` is the first element of :func:`factor_covariance`.  The
+    product is accumulated in a fixed order with elementwise operations
+    only, so every row goes through the same float operations whatever
+    the batch size: a point scores bitwise the same alone as inside any
+    batch.  BLAS products, triangular solves and ``np.einsum`` do not
+    promise that (blocking and SIMD tails round a row by its position).
+    """
+    diff = np.ascontiguousarray((np.asarray(points, dtype=float) - mean).T)
+    quad = np.zeros(diff.shape[1])
+    for a in range(len(inv_chol)):
+        z = diff[0] * inv_chol[a, 0]
+        for b in range(1, a + 1):
+            z += diff[b] * inv_chol[a, b]
+        quad += z * z
+    return quad
+
+
 def mahalanobis_squared(
     points: np.ndarray,
     mean: np.ndarray,
     cov: np.ndarray,
 ) -> np.ndarray:
     """Squared Mahalanobis distance of each row of ``points`` to
-    ``(mean, cov)``.
-
-    The covariance is regularised (ridge on the diagonal) when singular,
-    which happens routinely for tiny clusters or degenerate attributes.
-    """
+    ``(mean, cov)``; a singular ``cov`` is ridge-regularised (see
+    :func:`factor_covariance`)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    mean = np.asarray(mean, dtype=float)
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    diff = points - mean
-    inv = _robust_inverse(cov)
-    return np.einsum("ij,jk,ik->i", diff, inv, diff)
-
-
-def _robust_inverse(cov: np.ndarray, ridge: float = 1e-9) -> np.ndarray:
-    dim = cov.shape[0]
-    attempt = cov
-    for _ in range(40):
-        try:
-            return np.linalg.inv(attempt)
-        except np.linalg.LinAlgError:
-            attempt = attempt + ridge * np.eye(dim)
-            ridge *= 10
-    return np.linalg.pinv(cov)
+    inv_chol, _ = factor_covariance(cov)
+    return quadratic_form(points, np.asarray(mean, dtype=float), inv_chol)
 
 
 @lru_cache(maxsize=1024)

@@ -44,6 +44,7 @@ import numpy as np
 from repro.mapreduce import BatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
+from repro.mr.outlier_jobs import run_od_job
 
 _SUMMARY_KEY_PREFIX = "coreset"
 
@@ -203,42 +204,6 @@ def build_coreset(
     )
 
 
-class AssignMapper(BatchMapper):
-    """Map-only full-data labelling against a fitted model.
-
-    Emits one packed ``(2, n_split)`` int64 array per split —
-    ``[row indices | labels]`` — instead of per-point pairs, so the
-    final full scan ships O(splits) shuffle values, not O(n).
-    """
-
-    def setup(self, context: Context) -> None:
-        self._model = context.cache["fitted_model"]
-        self._keys: list[Any] = []
-        self._blocks: list[np.ndarray] = []
-
-    def map_batch(self, keys: Any, block: np.ndarray, context: Context) -> None:
-        self._keys.append(np.asarray(keys, dtype=np.int64))
-        self._blocks.append(block)
-
-    def cleanup(self, context: Context) -> None:
-        if not self._blocks:
-            return
-        data = (
-            self._blocks[0]
-            if len(self._blocks) == 1
-            else np.concatenate(self._blocks)
-        )
-        keys = (
-            self._keys[0]
-            if len(self._keys) == 1
-            else np.concatenate(self._keys)
-        )
-        labels = self._model.assign(data).cluster_ids
-        context.emit(
-            int(context.task_id), np.stack([keys, labels.astype(np.int64)])
-        )
-
-
 def run_assign_job(
     chain: JobChain,
     splits: list[InputSplit],
@@ -248,16 +213,8 @@ def run_assign_job(
 ) -> np.ndarray:
     """Label every original point with the coreset-fitted model.
 
-    Returns the ``(n,)`` int64 membership vector (cluster id, -1 for
-    outliers) — the same contract as the OD job's output, produced by
-    the serving scorer's batched ``assign`` in one map-only pass.
+    The OD labelling job (:func:`repro.mr.outlier_jobs.run_od_job`) run
+    over the full data: one map-only pass through the serving scorer's
+    batched ``assign``, returning the ``(n,)`` membership vector.
     """
-    job = Job(
-        mapper_factory=AssignMapper,
-        cache=DistributedCache({"fitted_model": model}),
-    )
-    result = chain.run(step_name, job, splits, num_reducers=0)
-    membership = np.full(n, -1, dtype=np.int64)
-    for _, packed in result.output:
-        membership[packed[0]] = packed[1]
-    return membership
+    return run_od_job(chain, splits, model, n, step_name=step_name)

@@ -36,8 +36,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.em import GaussianMixture
-from repro.core.stats import mahalanobis_squared
+from repro.core.em import GaussianMixture, nearest_component
 from repro.core.types import Signature
 from repro.mapreduce import BatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.job import ArraySumCombiner
@@ -54,8 +53,17 @@ class WeightModel:
     project to their subspace as needed.
     """
 
+    #: Whether :meth:`evaluate` also yields per-point log-likelihoods
+    #: (the sums job then reports the data log-likelihood).
+    has_log_likelihood = False
+
     def weights(self, data: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The weight matrix plus each point's log-likelihood, or
+        ``None`` for models without one."""
+        return self.weights(data), None
 
 
 class CoreSupportWeights(WeightModel):
@@ -97,14 +105,7 @@ class SupportPlusStrayWeights(WeightModel):
         stray = base.sum(axis=1) == 0
         if stray.any():
             sub = data[np.ix_(stray, list(self.attributes))]
-            distances = np.stack(
-                [
-                    mahalanobis_squared(sub, self.means[j], self.covariances[j])
-                    for j in range(len(self.signatures))
-                ],
-                axis=1,
-            )
-            nearest = np.argmin(distances, axis=1)
+            nearest = nearest_component(sub, self.means, self.covariances)
             stray_rows = np.where(stray)[0]
             base[stray_rows, nearest] = 1.0
         return base
@@ -114,23 +115,16 @@ class ResponsibilityWeights(WeightModel):
     """Soft weights: posterior responsibilities of the current mixture
     (one EM iteration's E-step)."""
 
+    has_log_likelihood = True
+
     def __init__(self, mixture: GaussianMixture) -> None:
         self.mixture = mixture
 
     def weights(self, data: np.ndarray) -> np.ndarray:
-        sub = self.mixture.project(data)
-        return np.exp(self.mixture.log_responsibilities(sub))
+        return self.evaluate(data)[0]
 
-    def log_likelihood(
-        self, data: np.ndarray, point_weights: np.ndarray | None = None
-    ) -> float:
-        sub = self.mixture.project(data)
-        if point_weights is None:
-            return self.mixture.log_likelihood(sub)
-        from repro.core.em import _logsumexp_rows
-
-        per_point = _logsumexp_rows(self.mixture._log_joint(sub))
-        return float(np.dot(point_weights, per_point))
+    def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.mixture.e_step(self.mixture.project(data))
 
 
 class InsideBallWeights(WeightModel):
@@ -228,7 +222,7 @@ class MomentSumsMapper(_SplitBlockMapper):
         data = self._split_data()
         if data is None:
             return
-        weights = self._model.weights(data)
+        weights, point_ll = self._model.evaluate(data)
         point_weights = self._split_weights()
         if point_weights is not None:
             weights = weights * point_weights[:, None]
@@ -239,9 +233,13 @@ class MomentSumsMapper(_SplitBlockMapper):
         packed = np.concatenate(
             [linear, weight_sum[:, None], weight_sq[:, None]], axis=1
         )
-        if isinstance(self._model, ResponsibilityWeights):
+        if point_ll is not None:
             ll_row = np.zeros((1, packed.shape[1]))
-            ll_row[0, 0] = self._model.log_likelihood(data, point_weights)
+            ll_row[0, 0] = (
+                point_ll.sum()
+                if point_weights is None
+                else np.dot(point_weights, point_ll)
+            )
             packed = np.concatenate([packed, ll_row], axis=0)
         context.emit(_SUMS_KEY, packed)
 
@@ -252,9 +250,7 @@ class MomentSumsReducer(Reducer):
     weight model carries one, the total LL under ``log_likelihood``."""
 
     def reduce(self, key: str, values: list[Any], context: Context) -> None:
-        has_ll = isinstance(
-            context.cache["weight_model"], ResponsibilityWeights
-        )
+        has_ll = context.cache["weight_model"].has_log_likelihood
         k = values[0].shape[0] - (1 if has_ll else 0)
         m = values[0].shape[1] - 2
         total = sum(v[:k] for v in values)
@@ -335,8 +331,8 @@ def run_moment_jobs(
     """Run the sums + covariance job pair and finalise the moments.
 
     Returns ``(means, covariances, weight_sums, log_likelihood)``;
-    the log-likelihood is ``None`` unless the weight model is a
-    :class:`ResponsibilityWeights`.
+    the log-likelihood is ``None`` unless the weight model has one
+    (:class:`ResponsibilityWeights`).
 
     ``point_weights`` (the coreset fast path) multiply into the model's
     weight matrix, turning every moment into its weighted counterpart.

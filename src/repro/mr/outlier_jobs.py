@@ -4,7 +4,9 @@
   probable mixture component and writes the point back "augmented with
   an additional membership attribute" set to the cluster id, or -1 for
   outliers (squared Mahalanobis distance above the chi-squared critical
-  value).
+  value).  The verdict is :meth:`repro.serving.FittedModel.assign`, so
+  the fit labels its points with exactly the code that later serves
+  the model; the same job labels the full data after a coreset fit.
 - **MVB mean/radius job** — each mapper caches its split, computes the
   dimension-wise median ``m_C^j`` and median-distance radius ``r_C^j``
   of its split's members per cluster, and the reducer aggregates by
@@ -21,88 +23,62 @@ from typing import Any
 import numpy as np
 
 from repro.core.em import GaussianMixture
-from repro.core.outliers import (
-    ball_consistency_factor,
-    dimensionwise_median,
-    small_sample_inflation,
+from repro.core.outliers import ball_consistency_factor, dimensionwise_median
+from repro.mapreduce import (
+    BatchMapper,
+    Context,
+    DistributedCache,
+    Job,
+    Mapper,
+    Reducer,
 )
-from repro.core.stats import chi2_critical_value, mahalanobis_squared
-from repro.mapreduce import Context, DistributedCache, Job, Mapper, Reducer
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
 from repro.mr.em_jobs import InsideBallWeights, run_moment_jobs
 
 
-class ODMapper(Mapper):
-    """Map-only membership labelling: cluster id or -1 per point."""
+class LabelMapper(BatchMapper):
+    """Map-only labelling against a fitted model: cluster id or -1.
+
+    Emits one packed ``(2, rows)`` int64 array per delivered block —
+    ``[row indices | labels]`` — instead of per-point pairs, so a
+    labelling pass ships O(splits) values, not O(n).  Scoring is
+    row-stable, so labels do not depend on how the split is chunked.
+    """
 
     def setup(self, context: Context) -> None:
-        self._mixture: GaussianMixture = context.cache["mixture"]
-        self._means: np.ndarray = context.cache["od_means"]
-        self._covs: np.ndarray = context.cache["od_covariances"]
-        self._critical: np.ndarray = context.cache["critical_values"]
-        self._rows: list[np.ndarray] = []
-        self._keys: list[Any] = []
+        self._model = context.cache["fitted_model"]
 
-    def map(self, key: Any, value: np.ndarray, context: Context) -> None:
-        self._keys.append(key)
-        self._rows.append(value)
-
-    def cleanup(self, context: Context) -> None:
-        if not self._rows:
-            return
-        data = np.stack(self._rows)
-        sub = self._mixture.project(data)
-        assignment = self._mixture.assign(sub)
-        membership = assignment.copy()
-        for j in range(self._mixture.num_components):
-            members = assignment == j
-            if not members.any():
-                continue
-            d2 = mahalanobis_squared(sub[members], self._means[j], self._covs[j])
-            rows = np.where(members)[0]
-            membership[rows[d2 > self._critical[j]]] = -1
-        for key, label in zip(self._keys, membership):
-            context.emit(key, int(label))
+    def map_batch(self, keys: Any, block: np.ndarray, context: Context) -> None:
+        labels = self._model.assign(block).cluster_ids
+        context.emit(
+            int(context.task_id),
+            np.stack([np.asarray(keys, dtype=np.int64), labels]),
+        )
 
 
 def run_od_job(
     chain: JobChain,
     splits: list[InputSplit],
-    mixture: GaussianMixture,
-    od_means: np.ndarray,
-    od_covariances: np.ndarray,
-    moment_counts: np.ndarray,
-    alpha: float = 0.001,
+    model: Any,
+    n: int,
     step_name: str = "outlier_detection",
-) -> dict[int, int]:
-    """Run the OD job; returns ``point index -> cluster id or -1``.
+) -> np.ndarray:
+    """Label every point of ``splits`` with ``model``
+    (a :class:`repro.serving.FittedModel`).
 
-    ``moment_counts`` is the per-cluster number of points that produced
-    ``od_means``/``od_covariances`` (EM totals for the naive variant,
-    inside-ball counts for MVB); the chi-squared cutoff is widened by
-    the small-sample inflation of that count, matching the serial
-    detectors.
+    Returns the ``(n,)`` int64 membership vector: cluster id, or -1 for
+    outliers and unassigned points.
     """
-    dof = len(mixture.attributes)
-    base = chi2_critical_value(dof, alpha)
-    critical = np.empty(mixture.num_components)
-    for j in range(mixture.num_components):
-        inflation = small_sample_inflation(int(moment_counts[j]), dof)
-        critical[j] = base * inflation if np.isfinite(inflation) else np.inf
     job = Job(
-        mapper_factory=ODMapper,
-        cache=DistributedCache(
-            {
-                "mixture": mixture,
-                "od_means": od_means,
-                "od_covariances": od_covariances,
-                "critical_values": critical,
-            }
-        ),
+        mapper_factory=LabelMapper,
+        cache=DistributedCache({"fitted_model": model}),
     )
     result = chain.run(step_name, job, splits, num_reducers=0)
-    return {int(k): int(v) for k, v in result.output}
+    membership = np.full(n, -1, dtype=np.int64)
+    for _, packed in result.output:
+        membership[packed[0]] = packed[1]
+    return membership
 
 
 _MVB_KEY_PREFIX = "mvb"

@@ -8,7 +8,7 @@ Job plan (one line per MR job):
 3.  EM initialisation: 2 x (sums + covariance) jobs    (Section 5.4)
 4.  EM iterations: 2 jobs each                         (Section 5.4)
 5.  MVB centre/radius + moments (MVB variant only)     (Section 5.5)
-6.  OD job (map-only membership labelling)             (Section 5.5)
+6.  OD job (map-only labelling by the serving scorer)  (Section 5.5)
 7.  attribute-inspection histogram job (+ AI proving)  (Section 5.6)
 8.  interval-tightening job                            (Section 5.7)
 
@@ -281,41 +281,10 @@ class P3CPlusMR:
                 )
             diagnostics["em_iterations"] = len(mixture.log_likelihood_history)
 
-            with obs.stage("outlier_detection", method=self.config.outlier_method):
-                if self.config.outlier_method == "mvb":
-                    od_means, od_covs, moment_counts = run_mvb_jobs(
-                        chain, splits, mixture
-                    )
-                else:
-                    od_means, od_covs = mixture.means, mixture.covariances
-                    moment_counts = mixture.weights * n
-                membership_map = run_od_job(
-                    chain,
-                    splits,
-                    mixture,
-                    od_means,
-                    od_covs,
-                    moment_counts,
-                    alpha=self.config.outlier_alpha,
-                )
-                membership = np.full(n, -1, dtype=np.int64)
-                for index, label in membership_map.items():
-                    membership[index] = label
-                obs.gauge(
-                    "outliers.removed", int((membership == -1).sum())
-                )
-
-            self._register_fitted(
-                algorithm="mr",
-                cores=cores,
-                mixture=mixture,
-                od_means=od_means,
-                od_covariances=od_covs,
-                od_counts=np.asarray(moment_counts, dtype=float),
-                num_bins=diagnostics["num_bins"],
-                n=n,
-                d=d,
+            membership = self._detect_outliers(
+                chain, splits, cores, mixture, diagnostics, n, d, n
             )
+            obs.gauge("outliers.removed", int((membership == -1).sum()))
             return self._finish(
                 splits, n, d, chain, cores, membership, diagnostics
             )
@@ -395,39 +364,18 @@ class P3CPlusMR:
                 )
             diagnostics["em_iterations"] = len(mixture.log_likelihood_history)
 
-            with obs.stage("outlier_detection", method=self.config.outlier_method):
-                if self.config.outlier_method == "mvb":
-                    od_means, od_covs, moment_counts = run_mvb_jobs(
-                        chain, summary_splits, mixture, point_weights=weights
-                    )
-                else:
-                    od_means, od_covs = mixture.means, mixture.covariances
-                    # Mixture weights were normalised by the total
-                    # weight, so this is already the full-data count.
-                    moment_counts = mixture.weights * total_weight
-                membership_small = run_od_job(
-                    chain,
-                    summary_splits,
-                    mixture,
-                    od_means,
-                    od_covs,
-                    moment_counts,
-                    alpha=self.config.outlier_alpha,
-                )
-                membership = np.full(m, -1, dtype=np.int64)
-                for index, label in membership_small.items():
-                    membership[index] = label
-
-            self._register_fitted(
-                algorithm="mr",
-                cores=cores,
-                mixture=mixture,
-                od_means=od_means,
-                od_covariances=od_covs,
-                od_counts=np.asarray(moment_counts, dtype=float),
-                num_bins=diagnostics["num_bins"],
-                n=n,
-                d=d,
+            # Mixture weights were normalised by the total weight, so the
+            # naive moment counts come out as full-data counts.
+            membership = self._detect_outliers(
+                chain,
+                summary_splits,
+                cores,
+                mixture,
+                diagnostics,
+                n,
+                d,
+                total_weight,
+                point_weights=weights,
             )
 
             # AI + tightening characterise the clusters (their relevant
@@ -453,6 +401,46 @@ class P3CPlusMR:
             result.n_points = n
             obs.gauge("outliers.final", int((~assigned).sum()))
             return result
+
+    def _detect_outliers(
+        self,
+        chain: JobChain,
+        splits: list[InputSplit],
+        cores,
+        mixture,
+        diagnostics: dict,
+        n: int,
+        d: int,
+        total_weight: float,
+        point_weights: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """OD stage: MVB (or the mixture's own) moments, the serving
+        bundle built from them, then the OD job labelling ``splits``
+        with it.  ``total_weight`` scales the mixture weights to the
+        naive variant's per-component counts."""
+        with self.obs.stage(
+            "outlier_detection", method=self.config.outlier_method
+        ):
+            if self.config.outlier_method == "mvb":
+                od_means, od_covs, moment_counts = run_mvb_jobs(
+                    chain, splits, mixture, point_weights=point_weights
+                )
+            else:
+                od_means, od_covs = mixture.means, mixture.covariances
+                moment_counts = mixture.weights * total_weight
+            self._register_fitted(
+                algorithm="mr",
+                cores=cores,
+                mixture=mixture,
+                od_means=od_means,
+                od_covariances=od_covs,
+                od_counts=np.asarray(moment_counts, dtype=float),
+                num_bins=diagnostics["num_bins"],
+                n=n,
+                d=d,
+            )
+            num_points = sum(len(split) for split in splits)
+            return run_od_job(chain, splits, self.fitted_model, num_points)
 
     def _register_fitted(
         self,

@@ -16,10 +16,10 @@ scores)`` aligned with the input rows:
 - **Full model** (mixture present): hard argmax-posterior component
   assignment, then the qdaim-style outlier verdict — squared
   Mahalanobis distance to the assigned component's MVB moments compared
-  against the χ² critical value at ``outlier_alpha`` (with the same
-  small-sample inflation the OD job applies).  ``scores`` is the
-  squared Mahalanobis distance; outliers keep their distance but get
-  ``cluster_id == -1``.
+  against the χ² critical value at ``outlier_alpha``, widened by the
+  small-sample inflation of the component's moment count.  ``scores``
+  is the squared Mahalanobis distance; outliers keep their distance but
+  get ``cluster_id == -1``.
 - **Light model** (no mixture): cores *are* clusters.  A point is
   assigned to the first covering core in interestingness order exactly
   as ``light_membership`` does, via the RSSC bit-plane membership
@@ -32,14 +32,23 @@ scores)`` aligned with the input rows:
   projected-clustering semantics demand.
 
 The batch path is vectorised; :func:`reference_assign` is the scalar
-oracle it is property-tested against, element-wise bitwise.  The
-component log-joint is computed from a fixed-reduction-order quadratic
-form plus a precomputed Cholesky log-determinant — mathematically
-identical to ``GaussianMixture.assign`` but row-stable, so batch and
-scalar scoring agree bit-for-bit.  Neither LAPACK's blocked triangular
-solve nor ``np.einsum`` (whose SIMD tail handling rounds a row
-differently depending on its position in the batch) gives that
-guarantee, hence :func:`_stable_mahalanobis` below.
+oracle it is property-tested against, element-wise bitwise.
+
+One scoring kernel
+------------------
+
+Every Gaussian score in the program — the EM E-step, the OD job's
+verdict, coreset labelling and this scorer — goes through the same two
+functions of :mod:`repro.core.stats`: :func:`factor_covariance` (a
+ridge-retry Cholesky, once per component) and :func:`quadratic_form`
+(the squared Mahalanobis distance through the inverse Cholesky factor).
+The quadratic form is a fixed-order loop of elementwise operations, so
+each row goes through the same float operations whether it is scored
+alone or inside a batch of any size; BLAS products, triangular solves
+and ``np.einsum`` round a row by its position in the batch and give no
+such guarantee.  Component choice is ``GaussianMixture.assign`` itself,
+and the MR driver labels its own points with :meth:`FittedModel.assign`,
+so serving the training data reproduces the fit's labels exactly.
 """
 
 from __future__ import annotations
@@ -49,9 +58,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.em import _LOG_2PI, GaussianMixture, _safe_cholesky
-from repro.core.outliers import small_sample_inflation
-from repro.core.stats import _robust_inverse, chi2_critical_value
+from repro.core.em import GaussianMixture
+from repro.core.outliers import outlier_critical_value
+from repro.core.stats import factor_covariance, quadratic_form
 from repro.core.types import ClusterCore
 from repro.mapreduce.cache import DistributedCache
 from repro.mr.rssc import RSSC
@@ -59,31 +68,6 @@ from repro.mr.rssc import RSSC
 #: Schema identifier persisted with every registry entry; bumped on any
 #: layout change so stale bundles fail loudly instead of mis-scoring.
 SCHEMA_VERSION = "repro.serving/fitted-model/v1"
-
-
-def _stable_mahalanobis(
-    points: np.ndarray, mean: np.ndarray, inv: np.ndarray
-) -> np.ndarray:
-    """Squared Mahalanobis distance with a batch-size-independent
-    per-row rounding.
-
-    ``core.stats.mahalanobis_squared`` contracts via ``np.einsum``,
-    which rounds a row's quadratic form differently depending on where
-    it lands relative to the SIMD tail — the same point can score a
-    last-ulp different value in a 1-row batch than in a 58-row batch.
-    Serving promises batch == scalar bitwise, so the quadratic form is
-    accumulated here in explicit ``(a, b)`` order with elementwise ops
-    only; each row then goes through an identical operation sequence
-    regardless of how many neighbours it has.  ``A_rel`` is small
-    (typically 1-4 attributes), so the m² Python loop is cheap.
-    """
-    diff = points - mean
-    quad = np.zeros(len(diff))
-    m = diff.shape[1]
-    for a in range(m):
-        for b in range(m):
-            quad += diff[:, a] * inv[a, b] * diff[:, b]
-    return quad
 
 
 class AssignResult(NamedTuple):
@@ -150,54 +134,38 @@ class FittedModel:
             self._caches["rssc"] = rssc
         return rssc
 
-    def _full_scorer(self) -> dict:
-        """Precomputed per-component constants for the full-model path."""
-        scorer = self._caches.get("full")
+    def _od_scorer(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-component inverse Cholesky factors of the OD covariances
+        and the outlier cutoffs, computed once per model."""
+        scorer = self._caches.get("od")
         if scorer is None:
-            mixture = self.mixture
-            assert mixture is not None
-            k = mixture.num_components
-            m = len(mixture.attributes)
-            log_weights = np.log(np.maximum(mixture.weights, 1e-300))
-            log_dets = np.empty(k)
-            em_inverses = np.empty((k, m, m))
-            od_inverses = np.empty((k, m, m))
-            for j in range(k):
-                _, log_dets[j] = _safe_cholesky(mixture.covariances[j])
-                em_inverses[j] = _robust_inverse(
-                    np.atleast_2d(mixture.covariances[j])
-                )
-                od_inverses[j] = _robust_inverse(
-                    np.atleast_2d(self.od_covariances[j])
-                )
-            # Serve-time critical values replicate run_od_job exactly:
-            # χ² at outlier_alpha with |A_rel| degrees of freedom, inflated
-            # for small per-component sample counts.
-            base = chi2_critical_value(m, self.outlier_alpha)
-            critical = np.empty(k)
-            for j in range(k):
-                inflation = small_sample_inflation(int(self.od_counts[j]), m)
-                critical[j] = (
-                    base * inflation if np.isfinite(inflation) else np.inf
-                )
-            scorer = {
-                "log_weights": log_weights,
-                "log_dets": log_dets,
-                "em_inverses": em_inverses,
-                "od_inverses": od_inverses,
-                "critical": critical,
-                "const": m * _LOG_2PI,
-            }
-            self._caches["full"] = scorer
+            m = len(self.mixture.attributes)
+            inv_chols = np.stack(
+                [factor_covariance(cov)[0] for cov in self.od_covariances]
+            )
+            critical = np.array(
+                [
+                    outlier_critical_value(int(count), m, self.outlier_alpha)
+                    for count in self.od_counts
+                ]
+            )
+            scorer = (inv_chols, critical)
+            self._caches["od"] = scorer
         return scorer
+
+    def __getstate__(self) -> dict:
+        # Caches are derived data: keep pickles (and the distributed-cache
+        # fingerprints of jobs shipping this model) independent of them.
+        return {**self.__dict__, "_caches": {}}
 
     # -- scoring ----------------------------------------------------------
 
     def _as_batch(self, points: np.ndarray) -> np.ndarray:
+        """Normalise input to an ``(n, d)`` batch; a 1-D input is one
+        point of length ``d`` (or an empty batch)."""
         points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            rows = -1 if points.size else 0
-            points = points.reshape(rows, self.n_dims)
+        if points.ndim == 1 and points.size in (0, self.n_dims):
+            points = points.reshape(-1, self.n_dims)
         if points.ndim != 2 or points.shape[1] != self.n_dims:
             raise ValueError(
                 f"point batch shape {np.shape(points)} incompatible with "
@@ -232,31 +200,20 @@ class FittedModel:
     def _assign_full(
         self, clean: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        mixture = self.mixture
-        assert mixture is not None
-        scorer = self._full_scorer()
-        sub = mixture.project(clean)
-        k = mixture.num_components
-        joint = np.empty((len(sub), k))
-        for j in range(k):
-            d2 = _stable_mahalanobis(
-                sub, mixture.means[j], scorer["em_inverses"][j]
-            )
-            joint[:, j] = scorer["log_weights"][j] - 0.5 * (
-                scorer["const"] + scorer["log_dets"][j] + d2
-            )
-        assignment = np.argmax(joint, axis=1)
-        d2_out = np.empty(len(sub))
-        for j in range(k):
+        sub = self.mixture.project(clean)
+        assignment = self.mixture.assign(sub)
+        inv_chols, critical = self._od_scorer()
+        d2 = np.empty(len(sub))
+        for j in range(self.mixture.num_components):
             members = assignment == j
             if members.any():
-                d2_out[members] = _stable_mahalanobis(
-                    sub[members], self.od_means[j], scorer["od_inverses"][j]
+                d2[members] = quadratic_form(
+                    sub[members], self.od_means[j], inv_chols[j]
                 )
-        outliers = d2_out > scorer["critical"][assignment]
+        outliers = d2 > critical[assignment]
         ids = assignment.astype(np.int64)
         ids[outliers] = -1
-        return ids, outliers, d2_out
+        return ids, outliers, d2
 
     def _assign_light(
         self, clean: np.ndarray
@@ -322,40 +279,30 @@ def reference_assign(model: FittedModel, points: np.ndarray) -> AssignResult:
     bitwise-identical) and the denominator of the serving benchmark's
     speedup gate.  Deliberately naive: a Python loop over rows, the
     arbitrary-precision ``membership_bits`` path for core membership,
-    per-row Mahalanobis evaluations for the mixture.
+    one-row mixture and Mahalanobis evaluations for the full model.
     """
     points = model._as_batch(points)
     rel = list(model.relevant_attributes)
     ids: list[int] = []
     outliers: list[bool] = []
     scores: list[float] = []
-    rssc = model._rssc() if model.mixture is None else None
-    scorer = model._full_scorer() if model.mixture is not None else None
+    mixture = model.mixture
+    rssc = model._rssc() if mixture is None else None
+    od_scorer = model._od_scorer() if mixture is not None else None
     for row in points:
         if not rel or not np.all(np.isfinite(row[rel])):
             ids.append(-1)
             outliers.append(True)
             scores.append(float("nan"))
             continue
-        if model.mixture is not None:
-            mixture = model.mixture
+        if mixture is not None:
+            inv_chols, critical = od_scorer
             sub = row[list(mixture.attributes)][None, :]
-            k = mixture.num_components
-            joint = np.empty(k)
-            for j in range(k):
-                d2 = _stable_mahalanobis(
-                    sub, mixture.means[j], scorer["em_inverses"][j]
-                )[0]
-                joint[j] = scorer["log_weights"][j] - 0.5 * (
-                    scorer["const"] + scorer["log_dets"][j] + d2
-                )
-            best = int(np.argmax(joint))
+            best = int(mixture.assign(sub)[0])
             d2_out = float(
-                _stable_mahalanobis(
-                    sub, model.od_means[best], scorer["od_inverses"][best]
-                )[0]
+                quadratic_form(sub, model.od_means[best], inv_chols[best])[0]
             )
-            is_outlier = d2_out > scorer["critical"][best]
+            is_outlier = d2_out > critical[best]
             ids.append(-1 if is_outlier else best)
             outliers.append(bool(is_outlier))
             scores.append(d2_out)

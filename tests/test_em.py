@@ -52,7 +52,7 @@ class TestMixture:
             attributes=(0, 1),
         )
         sub = rng.uniform(size=(50, 2))
-        resp = np.exp(mixture.log_responsibilities(sub))
+        resp, _ = mixture.e_step(sub)
         assert resp.sum(axis=1) == pytest.approx(np.ones(50))
 
     def test_assign_picks_nearest_blob(self):
@@ -77,7 +77,7 @@ class TestMixture:
 
 
 class TestBatchShapes:
-    """Regressions for assign/log_responsibilities batch normalisation.
+    """Regressions for assign/e_step batch normalisation.
 
     The serving scorer feeds the mixture empty batches and
     single-attribute subspaces; both used to trip ``atleast_2d``'s

@@ -21,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.em import GaussianMixture
+from repro.core.p3c_plus import P3CPlusConfig
 from repro.core.types import ClusterCore, Interval, Signature
 from repro.mapreduce import ClusterService
-from repro.mr import P3CPlusMRConfig, P3CPlusMRLight
+from repro.mr import P3CPlusMR, P3CPlusMRConfig, P3CPlusMRLight
 from repro.obs import parse_openmetrics
 from repro.obs.telemetry import render_openmetrics
 from repro.serving import (
@@ -167,6 +168,11 @@ class TestScorerOracle:
         model = _random_model(rng, full=False)
         with pytest.raises(ValueError, match="incompatible"):
             model.assign(np.zeros((4, D + 1)))
+        # A flat vector is one point, never silently several.
+        with pytest.raises(ValueError, match="incompatible"):
+            model.assign(np.full(2 * D, 0.5))
+        with pytest.raises(ValueError, match="incompatible"):
+            model.assign(np.full(D + 1, 0.5))
 
     def test_full_assignment_matches_mixture_argmax(self, rng) -> None:
         """Pre-verdict component choice agrees with GaussianMixture.assign
@@ -295,6 +301,32 @@ class TestDriverRegistration:
         )
 
 
+class TestFitServeParity:
+    """The fit labels its points with the serving scorer, so serving
+    the training data reproduces the fit's members and outliers."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("method", ["naive", "mvb"])
+    def test_fit_labels_equal_served_labels(
+        self, small_dataset, method, executor
+    ) -> None:
+        driver = P3CPlusMR(
+            P3CPlusConfig(outlier_method=method),
+            P3CPlusMRConfig(num_splits=4, executor=executor, max_workers=2),
+        )
+        result = driver.fit(small_dataset.data)
+        model = driver.fitted_model
+        assert result.clusters
+        fit_labels = np.full(result.n_points, -1, dtype=np.int64)
+        for cluster in result.clusters:
+            fit_labels[cluster.members] = model.cores.index(cluster.core)
+        assert np.array_equal(
+            np.where(fit_labels == -1)[0], np.sort(result.outliers)
+        )
+        served = model.assign(small_dataset.data)
+        assert np.array_equal(served.cluster_ids, fit_labels)
+
+
 class TestServeAssign:
     def test_serve_assign_end_to_end(self, tmp_path, rng) -> None:
         model = _random_model(rng, full=True)
@@ -317,6 +349,21 @@ class TestServeAssign:
         assert alice["points_total"] == len(batch)
         assert alice["outliers_total"] == int(expected.outlier_mask.sum())
         assert alice["latency_histogram"]["count"] == 1
+
+    def test_serve_assign_flat_input(self, rng) -> None:
+        """A flat vector of length d is one point; of length 2·d, an
+        error (it used to score as two points next to n_points = 1)."""
+        model = _random_model(rng, full=True)
+        point = np.full(D, 0.5)
+        with ClusterService(slots=1) as service:
+            one = service.serve_assign(model, point).result(timeout=30)
+            bad = service.serve_assign(model, np.full(2 * D, 0.5))
+            with pytest.raises(ValueError, match="incompatible"):
+                bad.result(timeout=30)
+        assert one["n_points"] == 1
+        expected = model.assign(point[None, :])
+        assert np.array_equal(one["cluster_ids"], expected.cluster_ids)
+        assert np.array_equal(one["scores"], expected.scores)
 
     def test_serve_assign_without_registry_fails(self, rng) -> None:
         with ClusterService(slots=1) as service:

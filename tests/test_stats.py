@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -12,6 +12,7 @@ from repro.core.stats import (
     chi2_critical_value,
     chi_squared_uniformity_pvalue,
     cohens_d_cc,
+    factor_covariance,
     is_uniform,
     mahalanobis_squared,
     poisson_deviation_significant,
@@ -19,6 +20,7 @@ from repro.core.stats import (
     poisson_power_relative_effect,
     poisson_sf,
     probability_exceeds_relative,
+    quadratic_form,
 )
 
 
@@ -139,6 +141,67 @@ class TestChiSquared:
     def test_is_uniform_wrapper(self):
         assert is_uniform(np.array([10, 10, 10]))
         assert not is_uniform(np.array([1000, 1, 1]))
+
+
+def _covariance(rng: np.random.Generator, m: int, singular: bool) -> np.ndarray:
+    a = rng.normal(size=(m, m))
+    cov = a @ a.T / m + 0.1 * np.eye(m)
+    if singular:
+        # A degenerate attribute: zero variance, zero covariance.
+        dead = int(rng.integers(m))
+        cov[dead, :] = 0.0
+        cov[:, dead] = 0.0
+    return cov
+
+
+class TestQuadraticFormKernel:
+    """The one Gaussian scoring kernel: row-stable and accurate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.sampled_from([1, 2, 26]),
+        n=st.integers(1, 40),
+        singular=st.booleans(),
+        chunk_sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+    )
+    def test_row_stable_and_matches_solve_oracle(
+        self, seed, m, n, singular, chunk_sizes
+    ):
+        rng = np.random.default_rng(seed)
+        cov = _covariance(rng, m, singular)
+        mean = rng.uniform(0.2, 0.8, size=m)
+        points = rng.uniform(0.0, 1.0, size=(n, m))
+        inv_chol, log_det = factor_covariance(cov)
+
+        batch = quadratic_form(points, mean, inv_chol)
+        rows = np.concatenate(
+            [quadratic_form(points[i : i + 1], mean, inv_chol) for i in range(n)]
+        )
+        chunks, start, turn = [], 0, 0
+        while start < n:
+            stop = start + chunk_sizes[turn % len(chunk_sizes)]
+            chunks.append(quadratic_form(points[start:stop], mean, inv_chol))
+            start, turn = stop, turn + 1
+        assert np.array_equal(batch, rows)
+        assert np.array_equal(batch, np.concatenate(chunks))
+
+        # Independent oracle: an LU solve against the matrix the kernel
+        # factored (a singular covariance takes the first 1e-9 ridge).
+        effective = cov + 1e-9 * np.eye(m) if singular else cov
+        diff = points - mean
+        oracle = (diff.T * np.linalg.solve(effective, diff.T)).sum(axis=0)
+        np.testing.assert_allclose(batch, oracle, rtol=1e-10, atol=0)
+        sign, oracle_log_det = np.linalg.slogdet(effective)
+        assert sign == 1.0
+        assert log_det == pytest.approx(oracle_log_det, rel=1e-10, abs=1e-10)
+
+    def test_singular_covariance_takes_the_ridge_path(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.diag([1.0, 0.0]))
+        inv_chol, log_det = factor_covariance(np.diag([1.0, 0.0]))
+        assert np.allclose(inv_chol.T @ inv_chol, np.diag([1 / (1 + 1e-9), 1e9]))
+        assert log_det == pytest.approx(np.log((1 + 1e-9) * 1e-9))
 
 
 class TestMahalanobis:
