@@ -45,15 +45,30 @@ def generate_candidates(
     """All (p+1)-signatures obtainable by joining pairs from
     ``signatures``, deduplicated, in deterministic order.
 
+    Only pairs sharing a (p-1)-subset can join, so each signature is
+    bucketed under every interval tuple with one interval dropped, and
+    only in-bucket pairs are tried — in the order
+    ``itertools.combinations`` visits them, which keeps the output
+    (first-seen order included) equal to the all-pairs join.
+
     With ``prune=True``, a candidate survives only if *all* of its
     p-subsignatures are in the generating set (classic Apriori
     downward-closure prune).
     """
+    buckets: dict[tuple[Interval, ...], list[int]] = {}
+    for index, signature in enumerate(signatures):
+        intervals = signature.intervals
+        for k in range(len(intervals)):
+            subset = intervals[:k] + intervals[k + 1 :]
+            buckets.setdefault(subset, []).append(index)
+    pairs = sorted(
+        {pair for members in buckets.values() for pair in combinations(members, 2)}
+    )
     seen: set[Signature] = set()
     candidates: list[Signature] = []
     universe = set(signatures)
-    for first, second in combinations(signatures, 2):
-        joined = join_signatures(first, second)
+    for i, j in pairs:
+        joined = join_signatures(signatures[i], signatures[j])
         if joined is None or joined in seen:
             continue
         seen.add(joined)

@@ -165,38 +165,54 @@ class InputSplit:
 
 
 class _ArrayRecords(Sequence):
-    """Lazy ``(index, row)`` view over a slice of a 2-D array.
+    """Lazy ``(index, row)`` view over a row range of a 2-D array.
 
     Avoids materialising one tuple per data point up front; rows are
-    produced on demand as the mapper iterates its split.
+    produced on demand as the mapper iterates its split.  Keys are
+    global row indices ``start … stop-1``.  A pickled copy carries only
+    the range's own rows, never the backing array, so shipping a split
+    to a worker process costs its rows, not the whole data set.
     """
 
     def __init__(self, data: np.ndarray, start: int, stop: int) -> None:
-        self._data = data
+        self._rows = data[start:stop]
         self._start = start
-        self._stop = stop
+        self._data: np.ndarray | None = data
+
+    def __getstate__(self) -> dict[str, Any]:
+        rows = self._rows
+        if not (rows.flags.c_contiguous or rows.flags.f_contiguous):
+            # Pickle would copy a strided view in C order; keep the
+            # source's element order so kernels see the same layout.
+            rows = rows.copy(order="K")
+        return {"_rows": rows, "_start": self._start, "_data": None}
 
     def __len__(self) -> int:
-        return self._stop - self._start
+        return len(self._rows)
 
     def __getitem__(self, i: int) -> tuple[int, np.ndarray]:
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(i)
-        idx = self._start + i
-        return idx, self._data[idx]
+        return self._start + i, self._rows[i]
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        for idx in range(self._start, self._stop):
-            yield idx, self._data[idx]
+        return zip(range(self._start, self._start + len(self)), self._rows)
+
+    @property
+    def bounds(self) -> tuple[int, int]:
+        """The ``(start, stop)`` key range."""
+        return self._start, self._start + len(self)
+
+    def backing_array(self) -> np.ndarray | None:
+        """The whole array this range views, or ``None`` for a copy
+        that holds only its own rows (one unpickled in a worker)."""
+        return self._data
 
     def as_block(self) -> tuple[np.ndarray, np.ndarray]:
         """The slice as ``(keys, block)`` with zero per-row overhead."""
-        return (
-            np.arange(self._start, self._stop),
-            self._data[self._start : self._stop],
-        )
+        return np.arange(self._start, self._start + len(self)), self._rows
 
 
 def split_block(split: "InputSplit") -> tuple[Sequence[Any], np.ndarray] | None:

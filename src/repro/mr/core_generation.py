@@ -147,10 +147,11 @@ def generate_cluster_cores_mr(
 
     while generation_base:
         candidates = run_candidate_generation(chain, generation_base, t_gen=t_gen)
+        pending_set = set(pending)
         candidates = [
             sig
             for sig in candidates
-            if sig not in all_supports and sig not in set(pending)
+            if sig not in all_supports and sig not in pending_set
         ]
         stats.candidates_per_level.append(len(candidates))
         c_sum += len(candidates)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,40 @@ from repro.core.types import Interval, Signature
 
 def _iv(attribute: int, lo: float = 0.0, hi: float = 0.5) -> Interval:
     return Interval(attribute, lo, hi)
+
+
+def _all_pairs_candidates(signatures, prune=False):
+    """The all-pairs Apriori join: the oracle for the bucketed one."""
+    seen = set()
+    candidates = []
+    universe = set(signatures)
+    for first, second in combinations(signatures, 2):
+        joined = join_signatures(first, second)
+        if joined is None or joined in seen:
+            continue
+        seen.add(joined)
+        if prune and not all(
+            joined.without(interval) in universe for interval in joined
+        ):
+            continue
+        candidates.append(joined)
+    return candidates
+
+
+@st.composite
+def _signature_lists(draw):
+    """Same-size p-signatures (p = 1..4) over 6 attributes with two
+    intervals each, so joins, same-attribute clashes and duplicate
+    inputs all occur."""
+    p = draw(st.integers(1, 4))
+    signature = st.builds(
+        lambda attrs, lows: Signature(
+            [_iv(a, lo, lo + 0.3) for a, lo in zip(sorted(attrs), lows)]
+        ),
+        st.sets(st.integers(0, 5), min_size=p, max_size=p),
+        st.lists(st.sampled_from([0.0, 0.5]), min_size=p, max_size=p),
+    )
+    return draw(st.lists(signature, max_size=30))
 
 
 class TestJoin:
@@ -97,6 +133,23 @@ class TestCandidateGeneration:
         candidates = generate_candidates(singles)
         k = len(attrs)
         assert len(candidates) == k * (k - 1) // 2
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(_signature_lists(), st.booleans())
+    def test_bucketed_join_equals_all_pairs(self, signatures, prune):
+        expected = _all_pairs_candidates(signatures, prune=prune)
+        assert generate_candidates(signatures, prune=prune) == expected
+
+    def test_duplicate_inputs_match_all_pairs(self):
+        s01 = Signature([_iv(0), _iv(1)])
+        s02 = Signature([_iv(0), _iv(2)])
+        s12 = Signature([_iv(1), _iv(2)])
+        signatures = [s01, s02, s01, s12, s02]
+        for prune in (False, True):
+            assert generate_candidates(
+                signatures, prune=prune
+            ) == _all_pairs_candidates(signatures, prune=prune)
 
 
 class TestMaximality:

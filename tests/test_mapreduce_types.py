@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -54,6 +56,34 @@ class TestSplitRecords:
         assert split.records[-1][0] == 9
         with pytest.raises(IndexError):
             split.records[10]
+
+    @pytest.mark.parametrize("protocol", [4, 5])
+    def test_pickled_split_carries_only_its_rows(self, rng, protocol):
+        data = rng.uniform(size=(1_000, 16))
+        splits = split_records(data, 8)
+        for split in splits:
+            rows_nbytes = len(split) * data.shape[1] * data.itemsize
+            assert len(pickle.dumps(split, protocol=protocol)) <= rows_nbytes + 1024
+        middle = splits[len(splits) // 2]
+        restored = pickle.loads(pickle.dumps(middle, protocol=protocol))
+        keys, block = middle.records.as_block()
+        restored_keys, restored_block = restored.records.as_block()
+        assert keys[0] > 0  # the key offset is exercised
+        np.testing.assert_array_equal(restored_keys, keys)
+        np.testing.assert_array_equal(restored_block, block)
+        for (key, row), (want_key, want_row) in zip(restored, middle):
+            assert key == want_key
+            np.testing.assert_array_equal(row, want_row)
+        assert restored.records[-1][0] == keys[-1]
+        np.testing.assert_array_equal(restored.records[0][1], data[keys[0]])
+
+    def test_pickled_fortran_split_keeps_element_order(self, rng):
+        data = np.asfortranarray(rng.uniform(size=(40, 6)))
+        middle = split_records(data, 4)[2]
+        restored = pickle.loads(pickle.dumps(middle, protocol=5))
+        _, block = restored.records.as_block()
+        assert block.flags.f_contiguous
+        np.testing.assert_array_equal(block, middle.records.as_block()[1])
 
     @given(st.integers(1, 500), st.integers(1, 32))
     def test_cover_property(self, n, k):
