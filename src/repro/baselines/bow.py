@@ -200,8 +200,6 @@ class BoW:
             runtime = MapReduceRuntime(
                 max_workers=bow.max_workers, executor=bow.executor
             )
-        chain = JobChain(runtime)
-        self.chain = chain
         splits = split_records(data, bow.num_splits)
         job = Job(
             mapper_factory=_PartitionMapper,
@@ -216,9 +214,11 @@ class BoW:
                 }
             ),
         )
-        result = chain.run(
-            "bow_partition_cluster", job, splits, num_reducers=num_partitions
-        )
+        with JobChain(runtime) as chain:
+            self.chain = chain
+            result = chain.run(
+                "bow_partition_cluster", job, splits, num_reducers=num_partitions
+            )
 
         boxes = [
             _Box(signature=sig, attributes=frozenset(attrs), members=members)

@@ -120,6 +120,21 @@ class JobChain:
         self.max_block_rows = max_block_rows
         self._fingerprint = ""
 
+    def close(self) -> None:
+        """End the chain: drop its runtime's split placements.
+
+        The chain stays readable (steps, ledger, report); a job run
+        after ``close`` simply places its input again.  A chain is also
+        a context manager that closes on exit.
+        """
+        self.runtime.release_placements()
+
+    def __enter__(self) -> "JobChain":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     def plan(self, input_records: int) -> PartitionPlan:
         """Tuned split/partition counts for a job over ``input_records``.
 

@@ -263,9 +263,7 @@ class P3CPlusMR:
         if coreset_size is not None and coreset_size < n:
             return self._fit_splits_coreset(splits, n, d)
         obs = self._begin_run()
-        with obs.run("p3c_plus_mr", n=n, d=d):
-            chain = self._make_chain()
-
+        with obs.run("p3c_plus_mr", n=n, d=d), self._make_chain() as chain:
             cores, diagnostics = self._run_core_phase(splits, n, chain)
             if not cores:
                 return self._empty_result(n, d, diagnostics, chain)
@@ -302,9 +300,7 @@ class P3CPlusMR:
         """
         mr_config = self.mr_config
         obs = self._begin_run()
-        with obs.run("p3c_plus_mr_coreset", n=n, d=d):
-            chain = self._make_chain()
-
+        with obs.run("p3c_plus_mr_coreset", n=n, d=d), self._make_chain() as chain:
             with obs.stage("coreset_summary", mode=mr_config.coreset_mode):
                 started = time.perf_counter()
                 summary = build_coreset(

@@ -46,9 +46,7 @@ class P3CPlusMRLight(P3CPlusMR):
     ) -> ClusteringResult:
         """Cluster from pre-built (possibly file-backed) input splits."""
         obs = self._begin_run()
-        with obs.run("p3c_plus_mr_light", n=n, d=d):
-            chain = self._make_chain()
-
+        with obs.run("p3c_plus_mr_light", n=n, d=d), self._make_chain() as chain:
             cores, diagnostics = self._run_core_phase(splits, n, chain)
             if not cores:
                 return self._empty_result(n, d, diagnostics, chain)
