@@ -169,11 +169,11 @@ class SlotLease:
     dispatch and ``release()`` when the attempt completes, so a
     scheduler (see :mod:`repro.mapreduce.scheduler`) can interleave
     task batches from many concurrent chains on one bounded pool.
-    Implementations must be thread-safe — the pipelined runtime and the
-    timeout/speculation monitor both dispatch from driver threads while
-    releases arrive on pool callback threads.  No slot is ever held
-    while waiting for another (acquire-per-task, release-at-settle), so
-    leases cannot deadlock across chains.
+    Implementations must be thread-safe — the timeout/speculation
+    monitor dispatches from a driver thread while releases arrive on
+    pool callback threads, and concurrent chains share one lease.  No
+    slot is ever held while waiting for another (acquire-per-task,
+    release-at-settle), so leases cannot deadlock across chains.
     """
 
     _stats_guard = threading.Lock()
@@ -665,15 +665,21 @@ class TaskRunner:
       preempt) the limit is enforced post-hoc from the attempt's
       reported elapsed time.
     - ``speculative``: once at least half the phase's tasks finished,
-      a task still running past ``speculation_factor`` × the median
-      completed duration gets a *speculative* duplicate attempt on a
-      fresh worker; the first successful result wins and the loser is
-      discarded, so output invariants are untouched.  Requires a
-      pool-backed executor; a no-op on serial.
+      a task still running past ``_SPECULATION_FACTOR`` (2×) the median
+      completed duration, and at least ``_SPECULATION_FLOOR_S``, gets a
+      *speculative* duplicate attempt on a fresh worker; the first
+      successful result wins and the loser is discarded, so output
+      invariants are untouched.  Requires a pool-backed executor; a
+      no-op on serial.
     """
 
     #: Polling granularity of the concurrent monitor loop (seconds).
     _TICK_S = 0.005
+    #: Straggler threshold: a running task gets a speculative copy past
+    #: this multiple of the median completed duration, but never before
+    #: the floor, so millisecond tasks do not speculate on timer noise.
+    _SPECULATION_FACTOR = 2.0
+    _SPECULATION_FLOOR_S = 0.02
 
     def __init__(
         self,
@@ -684,15 +690,11 @@ class TaskRunner:
         backoff_s: float = 0.0,
         task_timeout_s: float | None = None,
         speculative: bool = False,
-        speculation_factor: float = 2.0,
-        speculation_floor_s: float = 0.02,
     ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if task_timeout_s is not None and task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be > 0")
-        if speculation_factor <= 1.0:
-            raise ValueError("speculation_factor must be > 1")
         self.executor = executor
         self.events = events
         self.job_name = job_name
@@ -700,8 +702,6 @@ class TaskRunner:
         self.backoff_s = backoff_s
         self.task_timeout_s = task_timeout_s
         self.speculative = speculative
-        self.speculation_factor = speculation_factor
-        self.speculation_floor_s = speculation_floor_s
 
     def run_phase(
         self,
@@ -1029,8 +1029,8 @@ class TaskRunner:
                     1, len(task_ids) // 2
                 ):
                     threshold = max(
-                        self.speculation_factor * statistics.median(durations),
-                        self.speculation_floor_s,
+                        self._SPECULATION_FACTOR * statistics.median(durations),
+                        self._SPECULATION_FLOOR_S,
                     )
                     for tid in task_ids:
                         if (

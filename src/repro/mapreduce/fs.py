@@ -588,8 +588,10 @@ def chain_fingerprint(
         for key, value in sorted(conf.extra.items())
         if isinstance(value, (str, int, float, bool, type(None)))
     }
+    # ``True`` is the retired ``sort_keys`` flag (keys always sort); it
+    # stays in the token so existing checkpoint directories still match.
     conf_token = (
-        f"{conf.num_splits}:{conf.num_reducers}:{conf.sort_keys}:"
+        f"{conf.num_splits}:{conf.num_reducers}:True:"
         f"{json.dumps(simple_extra, sort_keys=True)}"
     )
     hasher.update(conf_token.encode("utf-8"))

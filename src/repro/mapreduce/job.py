@@ -277,17 +277,6 @@ class Job:
     combiner_factory: Callable[[], Combiner] | None = None
     partitioner: Partitioner = field(default_factory=HashPartitioner)
     cache: DistributedCache = field(default_factory=DistributedCache)
-    #: Optional partition-coverage hint for the pipelined scheduler:
-    #: maps a split id to the reduce partitions its map task may emit
-    #: to (``None`` per task = all partitions).  A declared partition
-    #: set lets the runtime launch a reduce task the moment its
-    #: contributing maps have delivered — before unrelated stragglers
-    #: finish.  The runtime *enforces* the declaration: a map attempt
-    #: whose payload carries records in an undeclared bucket fails
-    #: shuffle-integrity validation, so a lying hint cannot silently
-    #: drop data.  Must be picklable (a module-level function, not a
-    #: lambda) to ride the process executor.
-    partition_hint: Callable[[int], Sequence[int] | None] | None = None
 
     def describe(self) -> str:
         mapper = self.mapper_factory().__class__.__name__
@@ -311,17 +300,8 @@ def make_sort_key(key: Any) -> Any:
 
 def group_sorted_pairs(
     pairs: list[tuple[Any, Any]],
-    sort_keys: bool = True,
 ) -> Iterable[tuple[Any, list[Any]]]:
-    """Sort pairs by key (if requested) and group values per key."""
+    """Sort pairs by key (stable) and group values per key."""
     from repro.mapreduce.types import iter_grouped
 
-    if sort_keys:
-        pairs = sorted(pairs, key=lambda kv: make_sort_key(kv[0]))
-    else:
-        # Stable grouping without total order: bucket by first occurrence.
-        order: dict[Any, int] = {}
-        for key, _ in pairs:
-            order.setdefault(key, len(order))
-        pairs = sorted(pairs, key=lambda kv: order[kv[0]])
-    return iter_grouped(pairs)
+    return iter_grouped(sorted(pairs, key=lambda kv: make_sort_key(kv[0])))

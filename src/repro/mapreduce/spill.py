@@ -168,7 +168,7 @@ class SpilledBucket:
 class SpilledPartition:
     """Task-ordered partition chunks, at least one of them spilled.
 
-    ``Shuffle.merge_buckets`` returns this instead of eagerly loading
+    ``Shuffle.gather`` returns this instead of eagerly loading
     and concatenating, so gather stays lazy: materialisation happens
     reducer-side inside ``bucket_pairs``, one segment at a time.  Pair
     order is task order then row order — identical to the in-heap

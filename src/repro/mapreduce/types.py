@@ -322,7 +322,6 @@ class JobConf:
     name: str = "job"
     num_splits: int = 4
     num_reducers: int = 1
-    sort_keys: bool = True
     #: Hadoop-style task re-execution budget (1 = fail fast).
     max_task_attempts: int = 2
     #: Base delay before a retry; doubles per attempt (0 = immediate).
@@ -340,10 +339,6 @@ class JobConf:
     #: Pack uniform shuffle buckets into :class:`ColumnarBucket`; the
     #: tuple path remains the fallback (and the parity oracle in tests).
     columnar_shuffle: bool = True
-    #: Launch reduce tasks as map-side buckets become ready instead of
-    #: waiting on the full map barrier.  ``None`` defers to the runtime
-    #: default (enabled on pooled executors, no-op on serial).
-    pipelined: bool | None = None
     #: Cap on rows per ``BatchMapper.map_batch`` delivery.  ``None``
     #: delivers each split as one block; with a cap the runtime streams
     #: the split in chunks (see :func:`iter_split_blocks`) so a map

@@ -109,11 +109,6 @@ class TestGrouping:
         groups = dict(group_sorted_pairs(pairs))
         assert groups == {1: ["x", "z"], "a": ["y"]}
 
-    def test_group_without_sort_keeps_first_seen_order(self):
-        pairs = [("b", 1), ("a", 2), ("b", 3)]
-        groups = list(group_sorted_pairs(pairs, sort_keys=False))
-        assert groups[0][0] == "b"
-
     def test_make_sort_key_total_order(self):
         keys = [3, "a", (1, 2), 1.5, None]
         assert sorted(keys, key=make_sort_key)  # must not raise
