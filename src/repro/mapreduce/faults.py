@@ -39,7 +39,7 @@ Examples::
     map:error:p=0.2                        every 5th map task crashes once
     reduce:delay:p=0.5:ms=40               half the reducers straggle
     map:corrupt:p=0.3                      corrupted shuffle partitions
-    map:error:job=em_estep:task=0:always=1 kill one task permanently
+    map:error:job=em_iter2:task=0:always=1 kill one task permanently
 
 Injected faults are announced through ``fault_injected`` events, so a
 chaos run's schedule is visible in traces and run reports.  Fully

@@ -2,7 +2,7 @@
 
 Several P3C+-MR jobs follow the same pattern — mappers emit one partial
 array per split, a single reducer adds them (histograms, support
-counts, per-cluster matrices, EM covariance scatter).  The summation
+counts, per-cluster matrices, EM moment sums).  The summation
 must never mutate its inputs: under retries and speculative execution
 the runtime may hand the *same* shuffled value objects to more than one
 reduce attempt (a retry re-reads the cached shuffle payload), so an

@@ -1,18 +1,20 @@
 """EM as MapReduce jobs (paper Section 5.4).
 
-Sample means and covariances are computed by two MR jobs:
-
-- the *sums* job accumulates, per cluster ``C``, the weighted linear sum
-  ``l_C = sum_i w_Ci x_i``, the weight sum ``w_C`` and the squared
-  weight sum ``w_C2`` (plus, during EM iterations, the data
-  log-likelihood so the driver can test convergence);
-- the *covariance* job, given the means ``mu_C = l_C / w_C`` via the
-  distributed cache, accumulates ``sum_i w_Ci (x_i - mu_C)(x_i - mu_C)^T``
-  and the driver applies the unbiased scale
-  ``w_C / (w_C^2 - w_C2)``.
+Sample means and covariances come from **one** MR job per moment step.
+Each mapper evaluates the weight model once on its split and emits, per
+cluster ``C``, the weighted linear sum ``l_C = sum_i w_Ci x_i``, the
+weight sum ``w_C``, the squared weight sum ``w_C2`` and the scatter
+``sum_i w_Ci (x_i - mu_sC)(x_i - mu_sC)^T`` about the split's own mean
+``mu_sC`` (plus, during EM iterations, the split's log-likelihood so
+the driver can test convergence).  The reducer merges the split
+scatters onto the global mean ``mu_C = l_C / w_C`` with the pairwise
+update of Chan, Golub & LeVeque (1979), and the driver applies the
+unbiased scale ``w_C / (w_C^2 - w_C2)``.  The paper centres the
+covariance in a second job, given the means; in exact arithmetic the
+moments are the same, at one pass over the data instead of two.
 
 The per-point weights ``w_Ci`` are supplied by a *weight model* shipped
-in the cache; the same two jobs therefore serve the EM initialisation
+in the cache; the same job therefore serves the EM initialisation
 (hard support-set weights, then support-set + assigned strays), the EM
 iterations (posterior responsibilities) and the MVB moment computation
 (hard inside-ball weights) — exactly the reuse the paper describes.
@@ -39,7 +41,6 @@ import numpy as np
 from repro.core.em import GaussianMixture, nearest_component
 from repro.core.types import Signature
 from repro.mapreduce import BatchMapper, Context, DistributedCache, Job, Reducer
-from repro.mapreduce.job import ArraySumCombiner
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
 from repro.mr.aggregate import sum_partials
@@ -54,7 +55,7 @@ class WeightModel:
     """
 
     #: Whether :meth:`evaluate` also yields per-point log-likelihoods
-    #: (the sums job then reports the data log-likelihood).
+    #: (the moment job then reports the data log-likelihood).
     has_log_likelihood = False
 
     def weights(self, data: np.ndarray) -> np.ndarray:
@@ -120,9 +121,6 @@ class ResponsibilityWeights(WeightModel):
     def __init__(self, mixture: GaussianMixture) -> None:
         self.mixture = mixture
 
-    def weights(self, data: np.ndarray) -> np.ndarray:
-        return self.evaluate(data)[0]
-
     def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.mixture.e_step(self.mixture.project(data))
 
@@ -161,11 +159,10 @@ class InsideBallWeights(WeightModel):
 
 
 _SUMS_KEY = "moment_sums"
-_COV_KEY = "cov_sums"
 _LL_KEY = "log_likelihood"
 
 
-class _SplitBlockMapper(BatchMapper):
+class SplitBlockMapper(BatchMapper):
     """Shared base: buffers the split as whole blocks, exposes it in
     cleanup as one ``(n, d)`` array (``None`` for an empty split) plus
     the per-row point weights when the job carries them."""
@@ -200,17 +197,24 @@ class _SplitBlockMapper(BatchMapper):
         )
 
 
-class MomentSumsMapper(_SplitBlockMapper):
-    """Accumulates l_C, w_C and w_C2 for its split.
+def _centres(linear: np.ndarray, weight_sum: np.ndarray) -> np.ndarray:
+    """Per-cluster weighted means ``l_C / w_C``; a cluster without
+    weight centres on 0 (its scatter is zero whatever the centre)."""
+    safe = np.where(weight_sum > 0, weight_sum, 1.0)
+    return np.where(weight_sum[:, None] > 0, linear / safe[:, None], 0.0)
 
-    The three sums (and, during EM iterations, the split's
-    log-likelihood) are packed into **one** ``(k, m+2)`` — or
-    ``(k+1, m+2)`` with the LL row — float array per split: columns are
-    ``[linear | w_C | w_C2]``, the optional last row is
+
+class MomentSumsMapper(SplitBlockMapper):
+    """All moment sums of one split, from one weight-model evaluation.
+
+    Packed into **one** ``(k, m+2+m*m)`` — or ``(k+1, ...)`` with the
+    LL row — float array per split: columns are
+    ``[linear | w_C | w_C2 | scatter]``, where ``scatter`` is the
+    flattened ``sum_i w_Ci (x_i - mu_sC)(x_i - mu_sC)^T`` centred on the
+    split's own weighted mean ``mu_sC``; the optional last row is
     ``[ll, 0, ..., 0]``.  A single fixed-shape ndarray value rides the
     columnar shuffle plane (one block concat instead of per-tuple
-    pickling); the reducer unpacks back to the historical output
-    shape, so nothing downstream changes.
+    pickling).
     """
 
     def setup(self, context: Context) -> None:
@@ -230,8 +234,14 @@ class MomentSumsMapper(_SplitBlockMapper):
         linear = weights.T @ sub
         weight_sum = weights.sum(axis=0)
         weight_sq = (weights**2).sum(axis=0)
+        centres = _centres(linear, weight_sum)
+        k, m = linear.shape
+        scatter = np.empty((k, m * m))
+        for j in range(k):
+            diff = sub - centres[j]
+            scatter[j] = ((weights[:, j][:, None] * diff).T @ diff).ravel()
         packed = np.concatenate(
-            [linear, weight_sum[:, None], weight_sq[:, None]], axis=1
+            [linear, weight_sum[:, None], weight_sq[:, None], scatter], axis=1
         )
         if point_ll is not None:
             ll_row = np.zeros((1, packed.shape[1]))
@@ -245,52 +255,38 @@ class MomentSumsMapper(_SplitBlockMapper):
 
 
 class MomentSumsReducer(Reducer):
-    """Unpacks the mappers' packed sum blocks to the historical output:
-    a ``(linear, w_C, w_C2)`` tuple under ``moment_sums`` plus, when the
-    weight model carries one, the total LL under ``log_likelihood``."""
+    """Merges the per-split blocks into global sums: a
+    ``(linear, w_C, w_C2, scatter)`` tuple under ``moment_sums`` plus,
+    when the weight model carries one, the total LL under
+    ``log_likelihood``.
+
+    The split scatters are centred on their own means; the pairwise
+    update of Chan, Golub & LeVeque (1979) recentres them on the global
+    mean ``mu``: ``M2 = sum_s M2_s + sum_s W_s (mu_s - mu)(mu_s - mu)^T``.
+    Splits are merged in value order, and a split without weight on a
+    cluster adds nothing to it.
+    """
 
     def reduce(self, key: str, values: list[Any], context: Context) -> None:
         has_ll = context.cache["weight_model"].has_log_likelihood
+        m = len(context.cache["attributes"])
         k = values[0].shape[0] - (1 if has_ll else 0)
-        m = values[0].shape[1] - 2
-        total = sum(v[:k] for v in values)
-        context.emit(key, (total[:, :m], total[:, m], total[:, m + 1]))
+        blocks = [v[:k] for v in values]
+        total = sum_partials(blocks)
+        linear, weight_sum = total[:, :m], total[:, m]
+        scatter = total[:, m + 2 :].reshape(k, m, m)
+        mean = _centres(linear, weight_sum)
+        for block in blocks:
+            split_weight = block[:, m]
+            delta = _centres(block[:, :m], split_weight) - mean
+            scatter += split_weight[:, None, None] * (
+                delta[:, :, None] * delta[:, None, :]
+            )
+        context.emit(key, (linear, weight_sum, total[:, m + 1], scatter))
         if has_ll:
             context.emit(
                 _LL_KEY, float(np.sum(np.asarray([v[k, 0] for v in values])))
             )
-
-
-class CovarianceSumsMapper(_SplitBlockMapper):
-    """Accumulates sum_i w_Ci (x_i - mu_C)(x_i - mu_C)^T per cluster."""
-
-    def setup(self, context: Context) -> None:
-        super().setup(context)
-        self._model: WeightModel = context.cache["weight_model"]
-        self._attributes: tuple[int, ...] = context.cache["attributes"]
-        self._means: np.ndarray = context.cache["means"]
-
-    def cleanup(self, context: Context) -> None:
-        data = self._split_data()
-        if data is None:
-            return
-        weights = self._model.weights(data)
-        point_weights = self._split_weights()
-        if point_weights is not None:
-            weights = weights * point_weights[:, None]
-        sub = data[:, list(self._attributes)]
-        k = weights.shape[1]
-        m = sub.shape[1]
-        scatter = np.zeros((k, m, m))
-        for j in range(k):
-            diff = sub - self._means[j]
-            scatter[j] = (weights[:, j][:, None] * diff).T @ diff
-        context.emit(_COV_KEY, scatter)
-
-
-class CovarianceSumsReducer(Reducer):
-    def reduce(self, key: str, values: list[np.ndarray], context: Context) -> None:
-        context.emit(key, sum_partials(values))
 
 
 def finalize_moments(
@@ -328,7 +324,8 @@ def run_moment_jobs(
     reg: float = 1e-6,
     point_weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
-    """Run the sums + covariance job pair and finalise the moments.
+    """Run the moment job (step ``{step_prefix}_moments``) and finalise
+    the moments.
 
     Returns ``(means, covariances, weight_sums, log_likelihood)``;
     the log-likelihood is ``None`` unless the weight model has one
@@ -336,42 +333,23 @@ def run_moment_jobs(
 
     ``point_weights`` (the coreset fast path) multiply into the model's
     weight matrix, turning every moment into its weighted counterpart.
-
-    The covariance job's mappers need the means, so they are shipped in
-    its cache — the means computed by the sums job must be finalised by
-    the driver in between, exactly the two-job dependency of Section 5.4.
     """
     point_weights = canonical_weights(point_weights)
-    sums_cache: dict[str, Any] = {
+    cache: dict[str, Any] = {
         "weight_model": weight_model,
         "attributes": attributes,
     }
     if point_weights is not None:
-        sums_cache["point_weights"] = point_weights
-    sums_job = Job(
+        cache["point_weights"] = point_weights
+    job = Job(
         mapper_factory=MomentSumsMapper,
         reducer_factory=MomentSumsReducer,
-        combiner_factory=ArraySumCombiner,
-        cache=DistributedCache(sums_cache),
+        cache=DistributedCache(cache),
     )
-    sums_result = chain.run(f"{step_prefix}_sums", sums_job, splits).as_dict()
-    linear, weight_sum, weight_sq = sums_result[_SUMS_KEY]
-    log_likelihood = sums_result.get(_LL_KEY)
-
-    k, m = linear.shape
-    means = np.where(
-        weight_sum[:, None] > 0, linear / np.maximum(weight_sum[:, None], 1e-300), 0.5
-    )
-
-    cov_job = Job(
-        mapper_factory=CovarianceSumsMapper,
-        reducer_factory=CovarianceSumsReducer,
-        combiner_factory=ArraySumCombiner,
-        cache=DistributedCache({**sums_cache, "means": means}),
-    )
-    scatter = chain.run(f"{step_prefix}_cov", cov_job, splits).as_dict()[_COV_KEY]
+    result = chain.run(f"{step_prefix}_moments", job, splits).as_dict()
+    linear, weight_sum, weight_sq, scatter = result[_SUMS_KEY]
     means, covs = finalize_moments(linear, weight_sum, weight_sq, scatter, reg)
-    return means, covs, weight_sum, log_likelihood
+    return means, covs, weight_sum, result.get(_LL_KEY)
 
 
 def run_em_mr(
@@ -386,7 +364,7 @@ def run_em_mr(
     point_weights: np.ndarray | None = None,
 ) -> GaussianMixture:
     """Full MR-side EM: two-pass initialisation from cluster cores, then
-    two MR jobs per EM iteration (Section 5.4), mirroring
+    one MR job per EM iteration (Section 5.4), mirroring
     :func:`repro.core.em.initialize_from_cores` + :func:`repro.core.em.fit_em`.
 
     With ``point_weights`` (the coreset fast path) every moment is

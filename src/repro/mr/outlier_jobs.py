@@ -12,7 +12,7 @@
   of its split's members per cluster, and the reducer aggregates by
   taking the dimension-wise median of the mapper means and the median
   of the mapper radii.
-- The inside-ball moments then reuse the generic moment jobs of
+- The inside-ball moments then reuse the generic moment job of
   :mod:`repro.mr.em_jobs` with :class:`~repro.mr.em_jobs.InsideBallWeights`.
 """
 
@@ -24,17 +24,10 @@ import numpy as np
 
 from repro.core.em import GaussianMixture
 from repro.core.outliers import ball_consistency_factor, dimensionwise_median
-from repro.mapreduce import (
-    BatchMapper,
-    Context,
-    DistributedCache,
-    Job,
-    Mapper,
-    Reducer,
-)
+from repro.mapreduce import BatchMapper, Context, DistributedCache, Job, Reducer
 from repro.mapreduce.chain import JobChain
 from repro.mapreduce.types import InputSplit
-from repro.mr.em_jobs import InsideBallWeights, run_moment_jobs
+from repro.mr.em_jobs import InsideBallWeights, SplitBlockMapper, run_moment_jobs
 
 
 class LabelMapper(BatchMapper):
@@ -84,20 +77,17 @@ def run_od_job(
 _MVB_KEY_PREFIX = "mvb"
 
 
-class MVBStatsMapper(Mapper):
+class MVBStatsMapper(SplitBlockMapper):
     """Per-split MVB centre and radius for each cluster (Section 5.5)."""
 
     def setup(self, context: Context) -> None:
+        super().setup(context)
         self._mixture: GaussianMixture = context.cache["mixture"]
-        self._rows: list[np.ndarray] = []
-
-    def map(self, key: Any, value: np.ndarray, context: Context) -> None:
-        self._rows.append(value)
 
     def cleanup(self, context: Context) -> None:
-        if not self._rows:
+        data = self._split_data()
+        if data is None:
             return
-        data = np.stack(self._rows)
         sub = self._mixture.project(data)
         assignment = self._mixture.assign(sub)
         for j in range(self._mixture.num_components):
@@ -125,10 +115,10 @@ def run_mvb_jobs(
     reg: float = 1e-9,
     point_weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three MR jobs computing the MVB moments of every cluster.
+    """Two MR jobs computing the MVB moments of every cluster.
 
-    Job 1 estimates ball centre and radius; jobs 2-3 (the generic moment
-    pair) compute mean and covariance over the inside-ball points.
+    Job 1 estimates ball centre and radius; job 2 (the generic moment
+    job) computes mean and covariance over the inside-ball points.
     Returns ``(means, covariances, inside_ball_counts)`` per cluster.
 
     ``point_weights`` (the coreset fast path) weight the inside-ball
@@ -156,7 +146,7 @@ def run_mvb_jobs(
         splits,
         model,
         mixture.attributes,
-        "mvb_moments",
+        "mvb",
         reg=reg,
         point_weights=point_weights,
     )

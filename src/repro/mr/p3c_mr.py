@@ -5,8 +5,8 @@ Job plan (one line per MR job):
 1.  histogram building                                 (Section 5.1)
 2.  candidate proving, one job per collected batch     (Section 5.3)
     + candidate-generation jobs when pairs exceed T_gen
-3.  EM initialisation: 2 x (sums + covariance) jobs    (Section 5.4)
-4.  EM iterations: 2 jobs each                         (Section 5.4)
+3.  EM initialisation: 2 moment jobs, one per pass     (Section 5.4)
+4.  EM iterations: 1 moment job each (paper: 2)        (Section 5.4)
 5.  MVB centre/radius + moments (MVB variant only)     (Section 5.5)
 6.  OD job (map-only labelling by the serving scorer)  (Section 5.5)
 7.  attribute-inspection histogram job (+ AI proving)  (Section 5.6)

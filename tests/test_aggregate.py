@@ -6,7 +6,7 @@ than one reduce attempt (task retry after a validation failure, or a
 speculative duplicate).  A reducer that accumulates in place — e.g.
 ``values[0] += partial`` — would make the second attempt see partials
 already contaminated by the first, silently corrupting histograms,
-support counts and covariance sums.  These tests pin the fix: all sum
+support counts and moment sums.  These tests pin the fix: all sum
 reducers route through :func:`repro.mr.aggregate.sum_partials`, which
 allocates a fresh output array.
 """
@@ -19,7 +19,7 @@ import pytest
 from repro.mapreduce.job import Context
 from repro.mr.aggregate import sum_partials
 from repro.mr.attribute_jobs import MatrixSumReducer
-from repro.mr.em_jobs import CovarianceSumsReducer
+from repro.mr.em_jobs import MomentSumsReducer, WeightModel
 from repro.mr.histogram import HistogramSumReducer
 from repro.mr.support import SupportSumReducer
 
@@ -28,7 +28,14 @@ def _context():
     from repro.mapreduce.cache import DistributedCache
     from repro.mapreduce.counters import Counters
 
-    return Context(DistributedCache(), Counters(), task_id=0)
+    # MomentSumsReducer reads the block layout from the cache: two
+    # attributes and no log-likelihood row.  The other reducers ignore it.
+    cache = DistributedCache({"weight_model": WeightModel(), "attributes": (0, 1)})
+    return Context(cache, Counters(), task_id=0)
+
+
+def _parts(value):
+    return value if isinstance(value, tuple) else (value,)
 
 
 def test_sum_partials_matches_numpy_sum():
@@ -56,13 +63,15 @@ def test_sum_partials_single_value_returns_fresh_array():
 
 @pytest.mark.parametrize(
     "reducer_cls",
-    [HistogramSumReducer, SupportSumReducer, MatrixSumReducer, CovarianceSumsReducer],
+    [HistogramSumReducer, SupportSumReducer, MatrixSumReducer, MomentSumsReducer],
 )
 def test_sum_reducers_are_pure_under_reexecution(reducer_cls):
     """Reducing the same cached values twice yields identical output
     and leaves the value objects byte-identical — the contract retried
     and speculated reduce attempts rely on."""
-    values = [np.arange(12.0).reshape(3, 4) * k for k in (1.0, 2.0, 5.0)]
+    # Two rows of [linear(2) | w | w2 | scatter(4)] for the moment
+    # reducer; plain partial arrays for the others.
+    values = [np.arange(16.0).reshape(2, 8) * k for k in (1.0, 2.0, 5.0)]
     originals = [v.copy() for v in values]
 
     first = _context()
@@ -73,6 +82,7 @@ def test_sum_reducers_are_pure_under_reexecution(reducer_cls):
     (key1, total1), = first.drain()
     (key2, total2), = second.drain()
     assert key1 == key2 == "k"
-    assert np.array_equal(total1, total2)
+    for part1, part2 in zip(_parts(total1), _parts(total2), strict=True):
+        assert np.array_equal(part1, part2)
     for value, original in zip(values, originals):
         assert np.array_equal(value, original)

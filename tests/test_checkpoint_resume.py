@@ -21,7 +21,7 @@ from repro.mapreduce import (
 from repro.mapreduce.events import EventKind
 from repro.mapreduce.job import Job, Mapper, Reducer
 from repro.mapreduce.types import JobConf
-from repro.mr import P3CPlusMRConfig, P3CPlusMRLight
+from repro.mr import P3CPlusMR, P3CPlusMRConfig, P3CPlusMRLight
 from repro.obs import Observability, build_run_report
 
 
@@ -349,6 +349,45 @@ class TestDriverResume:
         assert np.array_equal(
             np.sort(reference.outliers), np.sort(result.outliers)
         )
+
+    def test_exact_mvb_kill_em_iteration_then_resume(self, tmp_path, data):
+        """Exact P3C+-MR with MVB outlier detection: kill one EM
+        iteration's moment job, resume from the checkpoint, and get the
+        uninterrupted fit — clusters, outliers and mixture bits."""
+        ck = str(tmp_path / "ck3")
+        reference_algo = P3CPlusMR(mr_config=P3CPlusMRConfig(num_splits=4))
+        reference = reference_algo.fit(data)
+        assert reference_algo.config.outlier_method == "mvb"
+
+        plan = FaultPlan.parse("map:error:job=em_iter1_moments:always=1")
+        broken = P3CPlusMR(
+            mr_config=P3CPlusMRConfig(
+                num_splits=4, checkpoint_dir=ck, fault_plan=plan
+            )
+        )
+        with pytest.raises(TaskFailedError):
+            broken.fit(data)
+        completed_before = broken.chain.num_jobs
+        assert completed_before >= 1
+
+        resumed_algo = P3CPlusMR(
+            mr_config=P3CPlusMRConfig(
+                num_splits=4, checkpoint_dir=ck, resume=True
+            )
+        )
+        result = resumed_algo.fit(data)
+        assert resumed_algo.chain.num_restored_jobs == completed_before
+        assert resumed_algo.chain.num_jobs > completed_before
+        assert len(result.clusters) == len(reference.clusters)
+        for ref, res in zip(reference.clusters, result.clusters):
+            assert np.array_equal(ref.members, res.members)
+        assert np.array_equal(reference.outliers, result.outliers)
+        ref_mix = reference_algo.fitted_model.mixture
+        res_mix = resumed_algo.fitted_model.mixture
+        for field in ("means", "covariances", "weights"):
+            assert getattr(ref_mix, field).tobytes() == getattr(
+                res_mix, field
+            ).tobytes()
 
 
 # -- counters restore ---------------------------------------------------

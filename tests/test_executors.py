@@ -161,7 +161,8 @@ class TestExecutorParity:
 
     def test_full_pipeline_bit_identical(self):
         """All three executors on the full P3C+-MR pipeline, Figure-6
-        small config (smallest QUICK_SCALE cell): bit-identical results."""
+        small config (smallest QUICK_SCALE cell): bit-identical results
+        and bit-identical mixtures."""
         from repro.experiments.configs import QUICK_SCALE
         from repro.experiments.runner import make_dataset
 
@@ -173,13 +174,22 @@ class TestExecutorParity:
             QUICK_SCALE.seed,
         )
         results = []
+        mixtures = []
         for name in EXECUTOR_NAMES:
             driver = P3CPlusMR(
                 mr_config=P3CPlusMRConfig(executor=name, max_workers=2)
             )
             results.append(driver.fit(dataset.data))
+            mixtures.append(driver.fitted_model.mixture)
         _assert_identical_results(results[0], results[1])
         _assert_identical_results(results[0], results[2])
+        # The EM moments themselves, not just the labels they induce.
+        for other in mixtures[1:]:
+            for field in ("means", "covariances", "weights"):
+                assert (
+                    getattr(other, field).tobytes()
+                    == getattr(mixtures[0], field).tobytes()
+                ), field
 
 
 def _assert_identical_results(a: ClusteringResult, b: ClusteringResult) -> None:

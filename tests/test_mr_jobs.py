@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from repro.core.binning import build_all_histograms
-from repro.core.em import fit_em, initialize_from_cores
+from repro.core.em import _moments, fit_em, initialize_from_cores
 from repro.core.proving import count_supports
 from repro.core.types import ClusterCore, Interval, Signature
 from repro.mapreduce import JobChain, MapReduceRuntime
-from repro.mapreduce.types import split_records
+from repro.mapreduce.types import InputSplit, split_records
 from repro.mr.candidates import pair_from_index, run_candidate_generation
 from repro.core.apriori import generate_candidates, singleton_signatures
 from repro.mr.em_jobs import (
     CoreSupportWeights,
+    WeightModel,
     run_em_mr,
     run_moment_jobs,
 )
@@ -106,7 +107,55 @@ class TestCandidateGeneration:
         assert chain.num_jobs == 0
 
 
+_OFFSET = 1e4
+
+
+class _OffsetWeights(WeightModel):
+    """Three components over data offset by ``_OFFSET``: every point,
+    only points right of the offset (so no weight at all on the low
+    splits of column-0-sorted data) and a smooth ramp."""
+
+    def weights(self, data: np.ndarray) -> np.ndarray:
+        x = data[:, 0] - _OFFSET
+        return np.stack(
+            [np.ones(len(data)), (x > 0.5).astype(float), 1 / (1 + np.exp(-x))],
+            axis=1,
+        )
+
+
 class TestMomentJobs:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_split_merge_matches_two_pass_moments(self, chain, weighted):
+        """Per-split scatters merged onto the global mean equal the
+        two-pass moments of the whole data, far from the origin, with
+        an empty split and a component absent from some splits."""
+        rng = np.random.default_rng(11)
+        raw = rng.normal(size=(400, 3)) * [1.0, 2.0, 0.5] + _OFFSET
+        data = raw[np.argsort(raw[:, 0])]
+        parts = split_records(data, 4)
+        records = [p.records for p in parts[:2]] + [[]] + [p.records for p in parts[2:]]
+        splits = [InputSplit(split_id=i, records=r) for i, r in enumerate(records)]
+        point_weights = rng.uniform(0.5, 3.0, len(data)) if weighted else None
+
+        model = _OffsetWeights()
+        attrs = (0, 1, 2)
+        means, covs, weight_sums, _ = run_moment_jobs(
+            chain, splits, model, attrs, "merge", point_weights=point_weights
+        )
+        weights = model.weights(data)
+        if weighted:
+            weights = weights * point_weights[:, None]
+        assert weights[: len(parts[0]), 1].sum() == 0
+        for j in range(weights.shape[1]):
+            mean, cov = _moments(data, weights[:, j], 1e-6)
+            assert weight_sums[j] == pytest.approx(weights[:, j].sum(), rel=1e-12)
+            np.testing.assert_allclose(means[j], mean, rtol=1e-9, atol=0)
+            # Relative to the matrix scale: near-zero off-diagonal
+            # entries carry the ~1e-12 rounding of rows stored at 1e4.
+            np.testing.assert_allclose(
+                covs[j], cov, rtol=1e-9, atol=1e-9 * np.abs(cov).max()
+            )
+
     def test_support_weights_moments_match_numpy(self, tiny_dataset, chain):
         cores = _cores_for(tiny_dataset)
         attrs = tuple(

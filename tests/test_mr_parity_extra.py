@@ -7,12 +7,12 @@ import pytest
 
 from repro.core.attribute_inspection import inspect_attributes
 from repro.core.em import GaussianMixture
-from repro.core.outliers import mvb_estimate
-from repro.mapreduce import JobChain, MapReduceRuntime
+from repro.core.outliers import dimensionwise_median, mvb_estimate
+from repro.mapreduce import DistributedCache, Job, JobChain, MapReduceRuntime
 from repro.mapreduce.types import split_records
 from repro.mr.attribute_jobs import ArrayMembership
 from repro.mr.inspection import mr_attribute_inspection
-from repro.mr.outlier_jobs import run_mvb_jobs
+from repro.mr.outlier_jobs import MVBStatsMapper, MVBStatsReducer, run_mvb_jobs
 
 
 def _cluster_scenario(rng, n=900, d=6):
@@ -127,3 +127,38 @@ class TestMVBJobParity:
         serial = mvb_estimate(sub[assignment == 0])
         # Median-of-split-medians approximates the exact centre.
         assert means[0] == pytest.approx(serial.mean, abs=0.02)
+
+    def test_center_radius_job_matches_per_row_reference(self, rng):
+        """The centre/radius mapper reads its split as whole blocks; its
+        output is bit-equal to stacking the split row by row and taking
+        the median of the per-split medians and radii."""
+        data, _ = _cluster_scenario(rng, n=1_200)
+        mixture = GaussianMixture(
+            means=np.array([[0.3, 0.7], [0.5, 0.5]]),
+            covariances=np.stack([np.eye(2) * 0.01, np.eye(2) * 0.2]),
+            weights=np.array([0.5, 0.5]),
+            attributes=(0, 1),
+        )
+        splits = split_records(data, 5)
+        job = Job(
+            mapper_factory=MVBStatsMapper,
+            reducer_factory=MVBStatsReducer,
+            cache=DistributedCache({"mixture": mixture}),
+        )
+        chain = JobChain(MapReduceRuntime())
+        stats = chain.run("mvb_center_radius", job, splits).as_dict()
+
+        assert sorted(stats) == [0, 1]
+        for j, (center, radius) in stats.items():
+            centers, radii = [], []
+            for split in splits:
+                sub = mixture.project(np.stack([row for _, row in split]))
+                members = sub[mixture.assign(sub) == j]
+                if len(members) == 0:
+                    continue
+                centers.append(dimensionwise_median(members))
+                radii.append(
+                    float(np.median(np.linalg.norm(members - centers[-1], axis=1)))
+                )
+            assert center.tobytes() == np.median(np.stack(centers), axis=0).tobytes()
+            assert radius == float(np.median(np.array(radii)))
