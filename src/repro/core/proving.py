@@ -77,8 +77,8 @@ def count_supports(
 ) -> dict[Signature, int]:
     """Exact support of each signature by brute-force mask evaluation.
 
-    The MapReduce path replaces this with the RSSC bitmap counter
-    (:mod:`repro.mr.rssc`); both must agree exactly.
+    The MapReduce path replaces this with vertical interval bitmaps
+    (:mod:`repro.mr.support`); both must agree exactly.
     """
     return {sig: sig.support(data) for sig in signatures}
 

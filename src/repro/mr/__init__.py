@@ -5,10 +5,11 @@ Each module maps onto one subsection of Section 5:
 - :mod:`repro.mr.histogram`    — 5.1 histogram building,
 - :mod:`repro.mr.candidates`   — 5.3 parallel candidate generation,
 - :mod:`repro.mr.rssc`         — 5.3 Rapid Signature Support Counter,
-- :mod:`repro.mr.support`      — 5.3 candidate proving job,
+- :mod:`repro.mr.support`      — 5.3 candidate proving job (vertical
+  interval bitmaps),
 - :mod:`repro.mr.core_generation` — Algorithm 1 with the multi-level
   candidate-collection heuristic,
-- :mod:`repro.mr.em_jobs`      — 5.4 EM as 2 MR jobs per iteration,
+- :mod:`repro.mr.em_jobs`      — 5.4 EM as one MR job per step,
 - :mod:`repro.mr.outlier_jobs` — 5.5 OD job and the MVB jobs,
 - :mod:`repro.mr.attribute_jobs` — 5.6 attribute inspection,
 - :mod:`repro.mr.tightening_job` — 5.7 interval tightening,

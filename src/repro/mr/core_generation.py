@@ -13,7 +13,8 @@ Combines:
   at which point a *single* support job proves the whole collection
   (saving per-level job overhead at the price of weaker Apriori
   pruning),
-- :func:`repro.mr.support.run_support_job` (RSSC-based proving),
+- :func:`repro.mr.support.run_support_job` (proving on vertical
+  interval bitmaps),
 - the maximality filter and (for P3C+) the redundancy filter.
 
 Because a collected batch always contains every ancestor of its

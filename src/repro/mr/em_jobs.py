@@ -61,9 +61,12 @@ class WeightModel:
     def weights(self, data: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def evaluate(
+        self, data: np.ndarray, labels: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """The weight matrix plus each point's log-likelihood, or
-        ``None`` for models without one."""
+        ``None`` for models without one.  ``labels`` are the rows'
+        cluster labels when the job ships them (``point_labels``)."""
         return self.weights(data), None
 
 
@@ -121,14 +124,20 @@ class ResponsibilityWeights(WeightModel):
     def __init__(self, mixture: GaussianMixture) -> None:
         self.mixture = mixture
 
-    def evaluate(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(
+        self, data: np.ndarray, labels: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         return self.mixture.e_step(self.mixture.project(data))
 
 
 class InsideBallWeights(WeightModel):
     """Hard weights: 1 iff the point is assigned to the cluster *and*
     lies inside the cluster's minimum volume ball (MVB moments,
-    Section 5.5)."""
+    Section 5.5).
+
+    The assignment is the centre/radius job's: that job scores every
+    point with the same mixture, and its labels reach the moment job
+    through the cache (``point_labels``)."""
 
     def __init__(
         self,
@@ -140,13 +149,14 @@ class InsideBallWeights(WeightModel):
         self.centers = centers
         self.radii = radii
 
-    def weights(self, data: np.ndarray) -> np.ndarray:
+    def evaluate(
+        self, data: np.ndarray, labels: np.ndarray | None = None
+    ) -> tuple[np.ndarray, None]:
         sub = self.mixture.project(data)
-        assignment = self.mixture.assign(sub)
         k = self.mixture.num_components
         out = np.zeros((len(data), k), dtype=float)
         for j in range(k):
-            members = assignment == j
+            members = labels == j
             if not members.any():
                 continue
             inside = (
@@ -155,7 +165,7 @@ class InsideBallWeights(WeightModel):
             )
             rows = np.where(members)[0]
             out[rows[inside], j] = 1.0
-        return out
+        return out, None
 
 
 _SUMS_KEY = "moment_sums"
@@ -164,8 +174,9 @@ _LL_KEY = "log_likelihood"
 
 class SplitBlockMapper(BatchMapper):
     """Shared base: buffers the split as whole blocks, exposes it in
-    cleanup as one ``(n, d)`` array (``None`` for an empty split) plus
-    the per-row point weights when the job carries them."""
+    cleanup as one ``(n, d)`` array (``None`` for an empty split), its
+    global row indices, and the per-row slices of the per-point vectors
+    the job carries in its cache (``point_weights``, ``point_labels``)."""
 
     def setup(self, context: Context) -> None:
         self._blocks: list[np.ndarray] = []
@@ -173,11 +184,13 @@ class SplitBlockMapper(BatchMapper):
         self._point_weights: np.ndarray | None = context.cache.get(
             "point_weights"
         )
+        self._point_labels: np.ndarray | None = context.cache.get(
+            "point_labels"
+        )
 
     def map_batch(self, keys: Any, block: np.ndarray, context: Context) -> None:
         self._blocks.append(block)
-        if self._point_weights is not None:
-            self._key_blocks.append(keys)
+        self._key_blocks.append(keys)
 
     def _split_data(self) -> np.ndarray | None:
         if not self._blocks:
@@ -186,14 +199,19 @@ class SplitBlockMapper(BatchMapper):
             return self._blocks[0]
         return np.concatenate(self._blocks)
 
-    def _split_weights(self) -> np.ndarray | None:
-        """Per-row weights aligned with :meth:`_split_data` (or None)."""
-        if self._point_weights is None or not self._key_blocks:
+    def _split_rows(self, vector: np.ndarray | None) -> np.ndarray | None:
+        """Per-row slice of a per-point vector, aligned with
+        :meth:`_split_data` (``None`` passes through)."""
+        if vector is None or not self._key_blocks:
             return None
         if len(self._key_blocks) == 1:
-            return take_weights(self._point_weights, self._key_blocks[0])
+            return take_weights(vector, self._key_blocks[0])
+        return np.concatenate([take_weights(vector, k) for k in self._key_blocks])
+
+    def _split_keys(self) -> np.ndarray:
+        """Global row indices aligned with :meth:`_split_data`."""
         return np.concatenate(
-            [take_weights(self._point_weights, k) for k in self._key_blocks]
+            [np.asarray(k, dtype=np.int64) for k in self._key_blocks]
         )
 
 
@@ -226,8 +244,10 @@ class MomentSumsMapper(SplitBlockMapper):
         data = self._split_data()
         if data is None:
             return
-        weights, point_ll = self._model.evaluate(data)
-        point_weights = self._split_weights()
+        weights, point_ll = self._model.evaluate(
+            data, self._split_rows(self._point_labels)
+        )
+        point_weights = self._split_rows(self._point_weights)
         if point_weights is not None:
             weights = weights * point_weights[:, None]
         sub = data[:, list(self._attributes)]
@@ -323,6 +343,7 @@ def run_moment_jobs(
     step_prefix: str,
     reg: float = 1e-6,
     point_weights: np.ndarray | None = None,
+    point_labels: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
     """Run the moment job (step ``{step_prefix}_moments``) and finalise
     the moments.
@@ -333,6 +354,8 @@ def run_moment_jobs(
 
     ``point_weights`` (the coreset fast path) multiply into the model's
     weight matrix, turning every moment into its weighted counterpart.
+    ``point_labels`` (cluster label per global row index) reach the
+    weight model as the rows' ``labels``.
     """
     point_weights = canonical_weights(point_weights)
     cache: dict[str, Any] = {
@@ -341,6 +364,8 @@ def run_moment_jobs(
     }
     if point_weights is not None:
         cache["point_weights"] = point_weights
+    if point_labels is not None:
+        cache["point_labels"] = point_labels
     job = Job(
         mapper_factory=MomentSumsMapper,
         reducer_factory=MomentSumsReducer,

@@ -11,9 +11,12 @@
   dimension-wise median ``m_C^j`` and median-distance radius ``r_C^j``
   of its split's members per cluster, and the reducer aggregates by
   taking the dimension-wise median of the mapper means and the median
-  of the mapper radii.
+  of the mapper radii.  The mappers also emit their points' cluster
+  labels, packed like :class:`LabelMapper`'s output.
 - The inside-ball moments then reuse the generic moment job of
-  :mod:`repro.mr.em_jobs` with :class:`~repro.mr.em_jobs.InsideBallWeights`.
+  :mod:`repro.mr.em_jobs` with :class:`~repro.mr.em_jobs.InsideBallWeights`,
+  which reads those labels from the cache instead of scoring every
+  point a second time with the same mixture.
 """
 
 from __future__ import annotations
@@ -74,11 +77,13 @@ def run_od_job(
     return membership
 
 
-_MVB_KEY_PREFIX = "mvb"
+_LABELS_KEY = "labels"
 
 
 class MVBStatsMapper(SplitBlockMapper):
-    """Per-split MVB centre and radius for each cluster (Section 5.5)."""
+    """Per-split MVB centre and radius for each cluster (Section 5.5),
+    plus the split's ``(2, rows)`` packed ``[row indices | labels]``
+    under ``"labels"``."""
 
     def setup(self, context: Context) -> None:
         super().setup(context)
@@ -90,6 +95,7 @@ class MVBStatsMapper(SplitBlockMapper):
             return
         sub = self._mixture.project(data)
         assignment = self._mixture.assign(sub)
+        context.emit(_LABELS_KEY, np.stack([self._split_keys(), assignment]))
         for j in range(self._mixture.num_components):
             members = sub[assignment == j]
             if len(members) == 0:
@@ -100,9 +106,13 @@ class MVBStatsMapper(SplitBlockMapper):
 
 
 class MVBStatsReducer(Reducer):
-    """Dimension-wise median of mapper centres; median of radii."""
+    """Dimension-wise median of mapper centres; median of radii.  The
+    split labels are concatenated into one packed array."""
 
-    def reduce(self, key: int, values: list[Any], context: Context) -> None:
+    def reduce(self, key: int | str, values: list[Any], context: Context) -> None:
+        if key == _LABELS_KEY:
+            context.emit(key, np.concatenate(values, axis=1))
+            return
         centers = np.stack([v[0] for v in values])
         radii = np.array([v[1] for v in values])
         context.emit(key, (np.median(centers, axis=0), float(np.median(radii))))
@@ -117,8 +127,9 @@ def run_mvb_jobs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two MR jobs computing the MVB moments of every cluster.
 
-    Job 1 estimates ball centre and radius; job 2 (the generic moment
-    job) computes mean and covariance over the inside-ball points.
+    Job 1 estimates ball centre and radius and labels every point;
+    job 2 (the generic moment job) computes mean and covariance over
+    the inside-ball points, reading job 1's labels from the cache.
     Returns ``(means, covariances, inside_ball_counts)`` per cluster.
 
     ``point_weights`` (the coreset fast path) weight the inside-ball
@@ -132,7 +143,12 @@ def run_mvb_jobs(
         reducer_factory=MVBStatsReducer,
         cache=DistributedCache({"mixture": mixture}),
     )
-    stats = chain.run("mvb_center_radius", stats_job, splits).as_dict()
+    # The step name carries "labels" so that a checkpoint of a
+    # centre/radius job without labels is never restored into this one.
+    stats = chain.run("mvb_center_radius_labels", stats_job, splits).as_dict()
+    packed = stats.pop(_LABELS_KEY, np.zeros((2, 0), dtype=np.int64))
+    labels = np.full(int(packed[0].max(initial=-1)) + 1, -1, dtype=np.int64)
+    labels[packed[0]] = packed[1]
 
     centers = np.full((k, m), 0.5)
     radii = np.zeros(k)
@@ -149,6 +165,7 @@ def run_mvb_jobs(
         "mvb",
         reg=reg,
         point_weights=point_weights,
+        point_labels=labels,
     )
     # Clusters with an empty ball or too few inside-ball points for a
     # usable covariance (same small-sample rule as the serial

@@ -79,6 +79,31 @@ class TestSupportJob:
         assert run_support_job(chain, splits, []) == {}
         assert chain.num_jobs == 0
 
+    def test_executors_agree(self, tiny_dataset):
+        """The vertical-bitmap counts are equal on every executor and
+        equal brute-force counting, over a batch of mixed sizes."""
+        data = tiny_dataset.data
+        splits = split_records(data, 5)
+        candidates = generate_candidates(
+            singleton_signatures(
+                [Interval(a, lo, lo + 0.4) for a in range(4) for lo in (0.0, 0.3)]
+            )
+        )
+        candidates += [c.signature for c in tiny_dataset.hidden_clusters]
+        outputs = {
+            executor: run_support_job(
+                JobChain(MapReduceRuntime(executor=executor, max_workers=2)),
+                splits,
+                candidates,
+            )
+            for executor in ("serial", "thread", "process")
+        }
+        expected = count_supports(data, candidates)
+        for supports in outputs.values():
+            assert list(supports) == candidates
+            assert supports == expected
+            assert all(type(v) is int for v in supports.values())
+
 
 class TestCandidateGeneration:
     def test_pair_from_index_roundtrip(self):

@@ -148,6 +148,13 @@ class TestMVBJobParity:
         chain = JobChain(MapReduceRuntime())
         stats = chain.run("mvb_center_radius", job, splits).as_dict()
 
+        # The packed labels ride along; they are the mixture's own
+        # assignment of every row.
+        labels = stats.pop("labels")
+        expected = mixture.assign(mixture.project(data))
+        assert labels.dtype == np.int64
+        assert sorted(labels[0].tolist()) == list(range(len(data)))
+        assert np.array_equal(labels[1], expected[labels[0]])
         assert sorted(stats) == [0, 1]
         for j, (center, radius) in stats.items():
             centers, radii = [], []
